@@ -14,7 +14,7 @@
 use ipa_core::NmScheme;
 use ipa_flash::FlashMode;
 use ipa_ftl::WriteStrategy;
-use ipa_workloads::{build, Driver, DriverConfig, WorkloadKind};
+use ipa_workloads::{build, Driver, DriverConfig, Experiment, WorkloadKind};
 
 fn main() {
     let tx: u64 = ipa_bench::arg("tx", 6_000);
@@ -41,22 +41,20 @@ fn main() {
     );
     ipa_bench::rule(118);
 
+    let cfg = DriverConfig::default()
+        .with_transactions(tx)
+        .with_seed(seed);
     for kind in WorkloadKind::all() {
         // Traditional run with measurement: the Figure 1 histogram.
         let mut bench = build(kind, 1, page_size);
-        let mut engine = Driver::make_engine(
-            bench.as_mut(),
+        let mut engine = Experiment::new(
             WriteStrategy::Traditional,
             NmScheme::disabled(),
             FlashMode::PSlc,
-            page_size,
-            None,
         )
+        .engine(bench.as_ref(), &cfg)
         .expect("engine");
         engine.pool_mut().enable_net_write_measurement();
-        let cfg = DriverConfig::default()
-            .with_transactions(tx)
-            .with_seed(seed);
         let trad = Driver::run(bench.as_mut(), &mut engine, &cfg).expect("run");
         let h = engine.pool().stats().net_bytes;
 
@@ -65,14 +63,12 @@ fn main() {
 
         // IPA-native run: only the deltas cross the bus.
         let mut bench2 = build(kind, 1, page_size);
-        let mut engine2 = Driver::make_engine(
-            bench2.as_mut(),
+        let mut engine2 = Experiment::new(
             WriteStrategy::IpaNative,
             NmScheme::new(2, 4),
             FlashMode::PSlc,
-            page_size,
-            None,
         )
+        .engine(bench2.as_ref(), &cfg)
         .expect("engine");
         engine2.pool_mut().enable_net_write_measurement();
         let ipa = Driver::run(bench2.as_mut(), &mut engine2, &cfg).expect("run");

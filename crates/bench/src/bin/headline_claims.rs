@@ -13,7 +13,7 @@
 use ipa_core::NmScheme;
 use ipa_flash::FlashMode;
 use ipa_ftl::WriteStrategy;
-use ipa_workloads::{Driver, DriverConfig, WorkloadKind};
+use ipa_workloads::{DriverConfig, Experiment, WorkloadKind};
 
 fn main() {
     let secs: f64 = ipa_bench::arg("secs", 10.0);
@@ -43,23 +43,19 @@ fn main() {
         eprintln!("running {}...", kind.name());
         // Baseline: the same MLC silicon used the normal way (full
         // capacity, traditional out-of-place writes) — the paper's 0x0.
-        let trad = Driver::run_configured(
-            kind,
-            1,
+        let trad = Experiment::new(
             WriteStrategy::Traditional,
             NmScheme::disabled(),
             FlashMode::MlcFull,
-            &cfg,
         )
+        .run(kind, 1, &cfg)
         .expect("traditional");
-        let ipa = Driver::run_configured(
-            kind,
-            1,
+        let ipa = Experiment::new(
             WriteStrategy::IpaNative,
             NmScheme::new(2, 4),
             FlashMode::PSlc,
-            &cfg,
         )
+        .run(kind, 1, &cfg)
         .expect("ipa");
 
         // Normalize per committed transaction (the runs commit different

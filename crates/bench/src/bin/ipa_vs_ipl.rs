@@ -16,7 +16,7 @@ use ipa_core::NmScheme;
 use ipa_flash::{DeviceConfig, DisturbRates, FlashMode, Geometry};
 use ipa_ftl::WriteStrategy;
 use ipa_ipl::{replay_ipa, replay_ipl, IplConfig};
-use ipa_workloads::{build, Driver, DriverConfig, WorkloadKind};
+use ipa_workloads::{build, Driver, DriverConfig, Experiment, WorkloadKind};
 
 fn main() {
     let tx: u64 = ipa_bench::arg("tx", 6_000);
@@ -46,19 +46,17 @@ fn main() {
         eprintln!("recording {} trace...", kind.name());
         // Record the page-level trace from a traditional-strategy run.
         let mut bench = build(kind, 1, page_size);
-        let mut engine = Driver::make_engine(
-            bench.as_mut(),
-            WriteStrategy::Traditional,
-            NmScheme::disabled(),
-            FlashMode::PSlc,
-            page_size,
-            None,
-        )
-        .expect("engine");
-        engine.pool_mut().enable_tracing();
         let cfg = DriverConfig::default()
             .with_transactions(tx)
             .with_seed(seed);
+        let mut engine = Experiment::new(
+            WriteStrategy::Traditional,
+            NmScheme::disabled(),
+            FlashMode::PSlc,
+        )
+        .engine(bench.as_ref(), &cfg)
+        .expect("engine");
+        engine.pool_mut().enable_tracing();
         Driver::run(bench.as_mut(), &mut engine, &cfg).expect("trace run");
         let trace = engine.pool_mut().take_trace();
 

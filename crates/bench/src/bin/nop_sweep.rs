@@ -11,7 +11,7 @@
 use ipa_core::NmScheme;
 use ipa_flash::FlashMode;
 use ipa_ftl::WriteStrategy;
-use ipa_workloads::{build, Driver, DriverConfig, WorkloadKind};
+use ipa_workloads::{blocks_per_die, build, Driver, DriverConfig, Sizing, WorkloadKind};
 
 fn main() {
     let secs: f64 = ipa_bench::arg("secs", 6.0);
@@ -30,11 +30,11 @@ fn main() {
     for nop in [1u16, 2, 3, 5, 9, 17] {
         let mut bench = build(WorkloadKind::TpcB, 1, page_size);
         let mut engine = {
-            // make_engine with a custom device NOP: build by hand.
+            // The benchmark chip with a custom device NOP: build by hand.
             let scheme = NmScheme::new(4, 4);
             let tables = bench.tables();
             let pages: u64 = tables.iter().map(|t| t.pages).sum();
-            let blocks = (pages * 14 / 10 / 64 + 8) as u32;
+            let blocks = blocks_per_die(pages, FlashMode::PSlc, 128, Sizing::Chip);
             let device = ipa_flash::DeviceConfig::new(
                 ipa_flash::Geometry::new(blocks, 128, page_size, 128),
                 FlashMode::PSlc,

@@ -90,8 +90,8 @@ use ipa_ftl::{StripePolicy, WriteStrategy};
 use ipa_trace::json::JsonValue;
 use ipa_trace::{chrome_trace_json, json, MetricsSnapshot, TracePhase};
 use ipa_workloads::{
-    Driver, DriverConfig, HeatPolicy, MaintMode, RunResult, ThreadedConfig, ThreadedRunResult,
-    Topology, WorkloadKind,
+    Driver, DriverConfig, Experiment, HeatPolicy, MaintMode, RunResult, ThreadedConfig,
+    ThreadedRunResult, Topology, WorkloadKind,
 };
 
 /// One CSV row; shared by both sections.
@@ -162,6 +162,17 @@ fn main() {
     let streams: u32 = ipa_bench::arg("streams", 8);
     let seed: u64 = ipa_bench::arg("seed", 0x7C_B5EED);
     let scale: u32 = ipa_bench::arg("scale", 1);
+    // The two write paths the sections compare, on pSLC flash.
+    let ipa = Experiment::new(
+        WriteStrategy::IpaNative,
+        NmScheme::new(2, 4),
+        FlashMode::PSlc,
+    );
+    let traditional = Experiment::new(
+        WriteStrategy::Traditional,
+        NmScheme::disabled(),
+        FlashMode::PSlc,
+    );
     // The maintenance sweep needs enough churn to trip GC (onset is
     // around 8k transactions at the default sizing); default to a much
     // longer window than the topology sweep unless overridden.
@@ -234,16 +245,10 @@ fn main() {
     for (ti, topo) in topologies.iter().enumerate() {
         let mut speedups = Vec::new();
         for (wi, kind) in workloads.iter().enumerate() {
-            let r: RunResult = Driver::run_sharded(
-                *kind,
-                scale,
-                WriteStrategy::IpaNative,
-                NmScheme::new(2, 4),
-                FlashMode::PSlc,
-                *topo,
-                &cfg,
-            )
-            .expect("sweep run");
+            let r: RunResult = ipa
+                .striped(*topo)
+                .run(*kind, scale, &cfg)
+                .expect("sweep run");
             if ti == 0 {
                 baseline.push(r.tps);
             }
@@ -332,17 +337,10 @@ fn main() {
     for kind in workloads {
         let mut base: Option<RunResult> = None;
         for (label, maint) in &modes {
-            let r = Driver::run_maintained(
-                kind,
-                scale,
-                WriteStrategy::Traditional,
-                NmScheme::disabled(),
-                FlashMode::PSlc,
-                wide,
-                *maint,
-                &maint_cfg,
-            )
-            .expect("maintenance run");
+            let r = traditional
+                .maintained(wide, *maint)
+                .run(kind, scale, &maint_cfg)
+                .expect("maintenance run");
             let b = base.get_or_insert_with(|| r.clone());
             let d99 = ipa_bench::pct(r.latency.p99_ns as f64, b.latency.p99_ns as f64);
             let d999 = ipa_bench::pct(r.latency.p999_ns as f64, b.latency.p999_ns as f64);
@@ -405,16 +403,10 @@ fn main() {
             let mut p = 1u32;
             while p <= planes {
                 let topo = plane_topo_base.with_planes(p);
-                let r = Driver::run_sharded(
-                    kind,
-                    scale,
-                    WriteStrategy::Traditional,
-                    NmScheme::disabled(),
-                    FlashMode::PSlc,
-                    topo,
-                    &plane_cfg,
-                )
-                .expect("plane sweep run");
+                let r = traditional
+                    .striped(topo)
+                    .run(kind, scale, &plane_cfg)
+                    .expect("plane sweep run");
                 let pps = r.programs_per_sec();
                 let base = *base_pps.get_or_insert(pps);
                 let pair_pct = if r.device.out_of_place_writes > 0 {
@@ -473,9 +465,10 @@ fn main() {
             "vec reads"
         );
         ipa_bench::rule(118);
+        let scan = traditional.striped(scan_topo);
         for kind in workloads {
-            let off = Driver::run_scan(kind, scale, scan_topo, 2, &base_cfg).expect("scan run");
-            let on = Driver::run_scan(kind, scale, scan_topo, 2, &ra_cfg).expect("scan run");
+            let off = scan.scan(kind, scale, 2, &base_cfg).expect("scan run");
+            let on = scan.scan(kind, scale, 2, &ra_cfg).expect("scan run");
             let speedup = off.elapsed_ns as f64 / on.elapsed_ns as f64;
             println!(
                 "{:<14}{:>10}{:>9}{:>15.0}{:>15.0}{:>9.2}x{:>10}{:>12}",
@@ -531,27 +524,15 @@ fn main() {
         );
         ipa_bench::rule(118);
         for kind in workloads {
-            let single = Driver::run_sharded(
-                kind,
-                scale,
-                WriteStrategy::IpaNative,
-                NmScheme::new(2, 4),
-                FlashMode::PSlc,
-                wide,
-                &wal_cfg,
-            )
-            .expect("wal run");
+            let single = ipa
+                .striped(wide)
+                .run(kind, scale, &wal_cfg)
+                .expect("wal run");
             let striped_cfg = wal_cfg.clone().with_wal_stripe(wal_stripe, 1);
-            let striped = Driver::run_sharded(
-                kind,
-                scale,
-                WriteStrategy::IpaNative,
-                NmScheme::new(2, 4),
-                FlashMode::PSlc,
-                wide,
-                &striped_cfg,
-            )
-            .expect("wal run");
+            let striped = ipa
+                .striped(wide)
+                .run(kind, scale, &striped_cfg)
+                .expect("wal run");
             for (label, r, speedup) in [
                 ("single-chip", &single, 1.0),
                 ("striped", &striped, striped.tps / single.tps),
@@ -634,17 +615,10 @@ fn main() {
             let mut base: Option<RunResult> = None;
             let mut last: Option<RunResult> = None;
             for (label, maint) in &modes {
-                let r = Driver::run_maintained(
-                    kind,
-                    scale,
-                    WriteStrategy::Traditional,
-                    NmScheme::disabled(),
-                    FlashMode::PSlc,
-                    wide,
-                    *maint,
-                    &qos_cfg,
-                )
-                .expect("qos run");
+                let r = traditional
+                    .maintained(wide, *maint)
+                    .run(kind, scale, &qos_cfg)
+                    .expect("qos run");
                 let b = base.get_or_insert_with(|| r.clone());
                 let d999 = ipa_bench::pct(
                     r.read_latency.p999_ns as f64,
@@ -737,17 +711,10 @@ fn main() {
                 if tiered {
                     cfg = cfg.with_heat(heat_policy.clone());
                 }
-                let r = Driver::run_maintained(
-                    WorkloadKind::TpcB,
-                    scale,
-                    WriteStrategy::IpaNative,
-                    NmScheme::new(2, 4),
-                    FlashMode::PSlc,
-                    wide,
-                    MaintMode::background(None),
-                    &cfg,
-                )
-                .expect("heat run");
+                let r = ipa
+                    .maintained(wide, MaintMode::background(None))
+                    .run(WorkloadKind::TpcB, scale, &cfg)
+                    .expect("heat run");
                 let c = r.controller.clone().unwrap_or_default();
                 let h = r.heat.unwrap_or_default();
                 println!(
@@ -1011,17 +978,10 @@ fn main() {
             .with_seed(seed)
             .with_streams(streams)
             .with_trace(1 << 20);
-        let r = Driver::run_maintained(
-            WorkloadKind::TpcB,
-            scale,
-            WriteStrategy::Traditional,
-            NmScheme::disabled(),
-            FlashMode::PSlc,
-            wide,
-            MaintMode::background(None).with_qos(),
-            &traced_cfg,
-        )
-        .expect("traced run");
+        let r = traditional
+            .maintained(wide, MaintMode::background(None).with_qos())
+            .run(WorkloadKind::TpcB, scale, &traced_cfg)
+            .expect("traced run");
         let count = |phase: TracePhase| r.trace.iter().filter(|e| e.phase == phase).count();
         let (completed, suspended, resumed, promoted) = (
             count(TracePhase::Completed),

@@ -10,7 +10,7 @@
 use ipa_core::NmScheme;
 use ipa_flash::FlashMode;
 use ipa_ftl::WriteStrategy;
-use ipa_workloads::{Driver, DriverConfig, WorkloadKind};
+use ipa_workloads::{Driver, DriverConfig, Experiment, WorkloadKind};
 
 struct Verdict {
     name: &'static str,
@@ -28,32 +28,26 @@ fn main() {
     let cfg = DriverConfig::default()
         .with_seed(seed)
         .for_simulated_secs(secs);
-    let base = Driver::run_configured(
-        WorkloadKind::TpcB,
-        1,
+    let base = Experiment::new(
         WriteStrategy::Traditional,
         NmScheme::disabled(),
         FlashMode::MlcFull,
-        &cfg,
     )
+    .run(WorkloadKind::TpcB, 1, &cfg)
     .expect("baseline");
-    let pslc = Driver::run_configured(
-        WorkloadKind::TpcB,
-        1,
+    let pslc = Experiment::new(
         WriteStrategy::IpaNative,
         NmScheme::new(2, 4),
         FlashMode::PSlc,
-        &cfg,
     )
+    .run(WorkloadKind::TpcB, 1, &cfg)
     .expect("pSLC");
-    let odd = Driver::run_configured(
-        WorkloadKind::TpcB,
-        1,
+    let odd = Experiment::new(
         WriteStrategy::IpaNative,
         NmScheme::new(2, 4),
         FlashMode::OddMlc,
-        &cfg,
     )
+    .run(WorkloadKind::TpcB, 1, &cfg)
     .expect("odd-MLC");
 
     let tput_pslc = pslc.tps / base.tps;
@@ -89,23 +83,22 @@ fn main() {
     });
 
     // --- E2: Figure 1 -----------------------------------------------------
+    let traditional = Experiment::new(
+        WriteStrategy::Traditional,
+        NmScheme::disabled(),
+        FlashMode::PSlc,
+    );
     eprintln!("[2/4] Figure 1 write-amplification analysis...");
     let mut under100 = Vec::new();
     for kind in [WorkloadKind::TpcB, WorkloadKind::TpcC, WorkloadKind::Tatp] {
         let mut bench = ipa_workloads::build(kind, 1, 8192);
-        let mut engine = Driver::make_engine(
-            bench.as_mut(),
-            WriteStrategy::Traditional,
-            NmScheme::disabled(),
-            FlashMode::PSlc,
-            8192,
-            None,
-        )
-        .expect("engine");
-        engine.pool_mut().enable_net_write_measurement();
         let run_cfg = DriverConfig::default()
             .with_transactions(2_500)
             .with_seed(seed);
+        let mut engine = traditional
+            .engine(bench.as_ref(), &run_cfg)
+            .expect("engine");
+        engine.pool_mut().enable_net_write_measurement();
         Driver::run(bench.as_mut(), &mut engine, &run_cfg).expect("run");
         under100.push((kind, engine.pool().stats().net_bytes.fraction_under_100b()));
     }
@@ -122,19 +115,13 @@ fn main() {
     // --- E5: IPA vs IPL ----------------------------------------------------
     eprintln!("[3/4] IPA vs IPL trace replay (TATP)...");
     let mut bench = ipa_workloads::build(WorkloadKind::Tatp, 1, 8192);
-    let mut engine = Driver::make_engine(
-        bench.as_mut(),
-        WriteStrategy::Traditional,
-        NmScheme::disabled(),
-        FlashMode::PSlc,
-        8192,
-        None,
-    )
-    .expect("engine");
-    engine.pool_mut().enable_tracing();
     let run_cfg = DriverConfig::default()
         .with_transactions(3_000)
         .with_seed(seed);
+    let mut engine = traditional
+        .engine(bench.as_ref(), &run_cfg)
+        .expect("engine");
+    engine.pool_mut().enable_tracing();
     Driver::run(bench.as_mut(), &mut engine, &run_cfg).expect("trace run");
     let trace = engine.pool_mut().take_trace();
     let device = || {

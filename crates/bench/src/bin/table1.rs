@@ -13,7 +13,7 @@ use ipa_bench::{fmt_pct, grouped, pct, row, rule};
 use ipa_core::NmScheme;
 use ipa_flash::FlashMode;
 use ipa_ftl::WriteStrategy;
-use ipa_workloads::{Driver, DriverConfig, RunResult, WorkloadKind};
+use ipa_workloads::{DriverConfig, Experiment, RunResult, WorkloadKind};
 
 fn main() {
     let secs: f64 = ipa_bench::arg("secs", 20.0);
@@ -25,36 +25,30 @@ fn main() {
         .for_simulated_secs(secs);
 
     eprintln!("running [0x0] traditional baseline (MLC, full capacity)...");
-    let base = Driver::run_configured(
-        WorkloadKind::TpcB,
-        scale,
+    let base = Experiment::new(
         WriteStrategy::Traditional,
         NmScheme::disabled(),
         FlashMode::MlcFull,
-        &cfg,
     )
+    .run(WorkloadKind::TpcB, scale, &cfg)
     .expect("baseline run");
 
     eprintln!("running [2x4] IPA, pSLC mode...");
-    let pslc = Driver::run_configured(
-        WorkloadKind::TpcB,
-        scale,
+    let pslc = Experiment::new(
         WriteStrategy::IpaNative,
         NmScheme::new(2, 4),
         FlashMode::PSlc,
-        &cfg,
     )
+    .run(WorkloadKind::TpcB, scale, &cfg)
     .expect("pSLC run");
 
     eprintln!("running [2x4] IPA, odd-MLC mode...");
-    let odd = Driver::run_configured(
-        WorkloadKind::TpcB,
-        scale,
+    let odd = Experiment::new(
         WriteStrategy::IpaNative,
         NmScheme::new(2, 4),
         FlashMode::OddMlc,
-        &cfg,
     )
+    .run(WorkloadKind::TpcB, scale, &cfg)
     .expect("odd-MLC run");
 
     print_table(secs, &base, &pslc, &odd);

@@ -6,6 +6,7 @@ use ipa_controller::{ControllerConfig, ControllerStats};
 use ipa_flash::{DeviceConfig, DisturbRates, FlashMode, Geometry};
 use ipa_ftl::{BlockDevice, DeviceStats, FtlConfig, Region, RegionTable, ShardedFtl, StripePolicy};
 use ipa_storage::{EngineConfig, RecoveryReport, Result, StorageEngine, TableSpec};
+use ipa_workloads::{blocks_per_die, Sizing};
 
 use crate::device::{SharedDevice, TenantDevice};
 
@@ -100,15 +101,16 @@ impl FleetBuilder {
         let total: u64 = budgets.iter().sum();
 
         // Size the shared device for the whole fleet with the driver's
-        // ~40 % headroom, split across the dies.
+        // headroom, split across the dies.
         let ppb = 32u32;
-        let dies = (cfg.channels * cfg.dies_per_channel) as u64;
-        let usable_ppb = FlashMode::Slc.usable_pages_per_block(ppb) as u64;
-        let blocks_per_die = (((total * 14 / 10).div_ceil(usable_ppb * dies)) as u32 + 8)
-            .max(12)
-            .next_multiple_of(cfg.planes);
+        let sizing = Sizing::Striped {
+            dies: cfg.channels * cfg.dies_per_channel,
+            planes: cfg.planes,
+            min_blocks: 12,
+        };
+        let blocks = blocks_per_die(total, FlashMode::Slc, ppb, sizing);
         let chip = DeviceConfig::new(
-            Geometry::new(blocks_per_die, ppb, cfg.page_size, 64).with_planes(cfg.planes),
+            Geometry::new(blocks, ppb, cfg.page_size, 64).with_planes(cfg.planes),
             FlashMode::Slc,
         )
         .with_disturb(DisturbRates::none())

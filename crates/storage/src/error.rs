@@ -32,6 +32,8 @@ pub enum StorageError {
     NoSuchTransaction(u64),
     /// B+-tree key already present (primary-key semantics).
     DuplicateKey(u64),
+    /// The requested combination of components cannot be built.
+    Unsupported(&'static str),
 }
 
 impl fmt::Display for StorageError {
@@ -60,6 +62,7 @@ impl fmt::Display for StorageError {
             }
             StorageError::NoSuchTransaction(id) => write!(f, "no such transaction {id}"),
             StorageError::DuplicateKey(k) => write!(f, "duplicate key {k}"),
+            StorageError::Unsupported(what) => write!(f, "unsupported: {what}"),
         }
     }
 }

@@ -10,9 +10,9 @@ use ipa_core::{NmScheme, PageLayout};
 use ipa_flash::{DeviceConfig, DisturbRates, FlashChip, FlashMode, Geometry};
 use ipa_fleet::SoakConfig;
 use ipa_ftl::{Ftl, FtlConfig, ShardedFtl, StripePolicy, WriteStrategy};
-use ipa_heat::{DefaultPolicy, HeatDevice};
-use ipa_maint::{MaintConfig, MaintainedFtl};
+use ipa_heat::DefaultPolicy;
 use ipa_storage::{BufferPool, EngineConfig, StorageEngine, TableSpec};
+use ipa_workloads::{mount_striped, MaintMode, Topology};
 
 /// The paper's three write paths with their canonical N×M configurations:
 /// the traditional out-of-place baseline and both IPA scenarios (§4).
@@ -103,26 +103,52 @@ pub fn heap_engine(strategy: WriteStrategy, scheme: NmScheme, seed: u64) -> Stor
     )
 }
 
+/// `dies` dies (≤ 4 channels, then stacking dies per channel) with
+/// `planes` planes each.
+fn die_topology(dies: u32, planes: u32, policy: StripePolicy) -> Topology {
+    assert!(dies >= 1 && dies.is_power_of_two(), "die counts are 2^k");
+    let channels = dies.min(4);
+    Topology::new(channels, dies / channels, policy).with_planes(planes)
+}
+
 /// Shared core of the striped heap-engine fixtures: the [`heap_engine`]
-/// table shape and pool size over `dies` dies (≤ 4 channels, then
-/// stacking dies per channel) with `planes` planes per die. The per-die
-/// geometry divides [`quiet_device`]'s blocks across the dies, keeping
-/// total raw capacity comparable at every die count. `maint =
-/// Some(queue_cap)` wraps the stripe in an `ipa-maint` background
-/// scheduler (with that optional NCQ cap); `None` keeps the historic
-/// inline-GC device.
-fn striped_heap_engine(
+/// table shape and pool size over `topology` with dies of `chip`,
+/// mounted by [`mount_striped`] under `maint` and an optional heat
+/// placement policy.
+fn striped_engine(
+    strategy: WriteStrategy,
+    scheme: NmScheme,
+    chip: DeviceConfig,
+    topology: Topology,
+    maint: MaintMode,
+    heat: Option<DefaultPolicy>,
+) -> StorageEngine {
+    let config = match strategy {
+        WriteStrategy::Traditional => EngineConfig::default(),
+        _ => EngineConfig::default().with_strategy(strategy, scheme),
+    }
+    .with_buffer_frames(8);
+    StorageEngine::build_with_device(
+        chip.geometry.page_size,
+        config,
+        &[TableSpec::heap("m", crate::ops::ROW, 200)],
+        move |regions, ftl_config| mount_striped(chip, topology, maint, heat, regions, ftl_config),
+    )
+    .expect("testkit striped engine")
+}
+
+/// [`striped_engine`] over [`quiet_device`]'s blocks divided across the
+/// dies, keeping total raw capacity comparable at every die count.
+fn quiet_striped_engine(
     strategy: WriteStrategy,
     scheme: NmScheme,
     seed: u64,
     dies: u32,
     planes: u32,
     policy: StripePolicy,
-    maint: Option<Option<usize>>,
+    maint: MaintMode,
 ) -> StorageEngine {
-    assert!(dies >= 1 && dies.is_power_of_two(), "die counts are 2^k");
-    let channels = dies.min(4);
-    let dies_per_channel = dies / channels;
+    let topology = die_topology(dies, planes, policy);
     let base = quiet_device(seed).geometry;
     let per_die = Geometry::new(
         (base.blocks / dies).max(12).next_multiple_of(planes),
@@ -132,36 +158,7 @@ fn striped_heap_engine(
     )
     .with_planes(planes);
     let chip = quiet_device(seed).with_geometry(per_die);
-    let mut controller = ControllerConfig::new(channels, dies_per_channel, chip);
-    if let Some(Some(cap)) = maint {
-        controller = controller.with_queue_cap(cap);
-    }
-
-    let config = match strategy {
-        WriteStrategy::Traditional => EngineConfig::default(),
-        _ => EngineConfig::default().with_strategy(strategy, scheme),
-    }
-    .with_buffer_frames(8);
-    StorageEngine::build_with_device(
-        per_die.page_size,
-        config,
-        &[TableSpec::heap("m", crate::ops::ROW, 200)],
-        move |regions, ftl_config| match maint {
-            None => Box::new(ShardedFtl::with_regions(
-                controller, ftl_config, policy, regions,
-            )),
-            Some(_) => {
-                let striped = ShardedFtl::with_regions(
-                    controller,
-                    ftl_config.with_background_gc(),
-                    policy,
-                    regions,
-                );
-                Box::new(MaintainedFtl::new(striped, MaintConfig::default()))
-            }
-        },
-    )
-    .expect("testkit striped engine")
+    striped_engine(strategy, scheme, chip, topology, maint, None)
 }
 
 /// [`heap_engine`]'s die-striped twin: the same table shape and pool size
@@ -174,7 +171,7 @@ pub fn sharded_heap_engine(
     dies: u32,
     policy: StripePolicy,
 ) -> StorageEngine {
-    striped_heap_engine(strategy, scheme, seed, dies, 1, policy, None)
+    sharded_plane_engine(strategy, scheme, seed, dies, 1, policy)
 }
 
 /// [`sharded_heap_engine`] with a plane axis: `planes` planes per die, so
@@ -188,7 +185,15 @@ pub fn sharded_plane_engine(
     planes: u32,
     policy: StripePolicy,
 ) -> StorageEngine {
-    striped_heap_engine(strategy, scheme, seed, dies, planes, policy, None)
+    quiet_striped_engine(
+        strategy,
+        scheme,
+        seed,
+        dies,
+        planes,
+        policy,
+        MaintMode::inline(),
+    )
 }
 
 /// Deliberately aggressive placement thresholds so hot-tier absorption,
@@ -205,7 +210,7 @@ pub fn aggressive_heat_policy() -> DefaultPolicy {
 
 /// [`sharded_plane_engine`]'s heat-placement twin: the identical table
 /// shape and striped geometry, but the device is mounted behind an
-/// `ipa-heat` [`HeatDevice`] (SLC hot tier + wear-shifting maintenance
+/// [`ipa_heat::HeatDevice`] (SLC hot tier + wear-shifting maintenance
 /// jobs) under [`aggressive_heat_policy`] — so parity suites can prove
 /// migration moves *placement* and never *state*.
 pub fn heat_heap_engine(
@@ -216,7 +221,15 @@ pub fn heat_heap_engine(
     planes: u32,
     policy: StripePolicy,
 ) -> StorageEngine {
-    compact_striped_engine(strategy, scheme, seed, dies, planes, policy, true)
+    compact_striped_engine(
+        strategy,
+        scheme,
+        seed,
+        dies,
+        planes,
+        policy,
+        Some(aggressive_heat_policy()),
+    )
 }
 
 /// [`heat_heap_engine`]'s no-migration reference: byte-identical table
@@ -231,7 +244,7 @@ pub fn compact_heap_engine(
     planes: u32,
     policy: StripePolicy,
 ) -> StorageEngine {
-    compact_striped_engine(strategy, scheme, seed, dies, planes, policy, false)
+    compact_striped_engine(strategy, scheme, seed, dies, planes, policy, None)
 }
 
 fn compact_striped_engine(
@@ -241,11 +254,9 @@ fn compact_striped_engine(
     dies: u32,
     planes: u32,
     policy: StripePolicy,
-    heat: bool,
+    heat: Option<DefaultPolicy>,
 ) -> StorageEngine {
-    assert!(dies >= 1 && dies.is_power_of_two(), "die counts are 2^k");
-    let channels = dies.min(4);
-    let dies_per_channel = dies / channels;
+    let topology = die_topology(dies, planes, policy);
     // Deliberately compact dies (small blocks, 2 KiB pages): garbage
     // collection — and with it real per-die erase deltas, the signal
     // wear-shifting migration triggers on — fires within the few hundred
@@ -253,36 +264,14 @@ fn compact_striped_engine(
     let per_die = Geometry::new((64 / dies).max(12).next_multiple_of(planes), 8, 2048, 64)
         .with_planes(planes);
     let chip = quiet_slc(per_die.blocks, per_die.pages_per_block, seed).with_geometry(per_die);
-    let controller = ControllerConfig::new(channels, dies_per_channel, chip);
-
-    let config = match strategy {
-        WriteStrategy::Traditional => EngineConfig::default(),
-        _ => EngineConfig::default().with_strategy(strategy, scheme),
-    }
-    .with_buffer_frames(8);
-    StorageEngine::build_with_device(
-        per_die.page_size,
-        config,
-        &[TableSpec::heap("m", crate::ops::ROW, 200)],
-        move |regions, ftl_config| {
-            let striped = ShardedFtl::with_regions(
-                controller,
-                ftl_config.with_background_gc(),
-                policy,
-                regions,
-            );
-            let maintained = MaintainedFtl::new(striped, MaintConfig::default());
-            if heat {
-                Box::new(HeatDevice::new(
-                    maintained,
-                    Box::new(aggressive_heat_policy()),
-                ))
-            } else {
-                Box::new(maintained)
-            }
-        },
+    striped_engine(
+        strategy,
+        scheme,
+        chip,
+        topology,
+        MaintMode::background(None),
+        heat,
     )
-    .expect("testkit compact striped engine")
 }
 
 /// A single scheduled die with `planes` planes — the minimal multi-plane
@@ -294,21 +283,13 @@ pub fn multi_plane_engine(
     seed: u64,
     planes: u32,
 ) -> StorageEngine {
-    striped_heap_engine(
-        strategy,
-        scheme,
-        seed,
-        1,
-        planes,
-        StripePolicy::RoundRobin,
-        None,
-    )
+    sharded_plane_engine(strategy, scheme, seed, 1, planes, StripePolicy::RoundRobin)
 }
 
 /// [`sharded_heap_engine`]'s background-maintenance twin: the identical
 /// controller topology and table shape, but low-water GC deferred to an
-/// `ipa-maint` scheduler ([`MaintainedFtl`]) and an optional NCQ queue
-/// cap on the controller — so GC-parity suites can compare inline and
+/// [`ipa_maint::MaintainedFtl`] scheduler and an optional NCQ queue cap
+/// on the controller — so GC-parity suites can compare inline and
 /// background reclaim run-for-run.
 pub fn maintained_heap_engine(
     strategy: WriteStrategy,
@@ -318,28 +299,14 @@ pub fn maintained_heap_engine(
     policy: StripePolicy,
     queue_cap: Option<usize>,
 ) -> StorageEngine {
-    striped_heap_engine(strategy, scheme, seed, dies, 1, policy, Some(queue_cap))
-}
-
-/// [`maintained_heap_engine`] with a plane axis, for suites that check
-/// background reclaim over plane-local victims end-to-end.
-pub fn maintained_plane_engine(
-    strategy: WriteStrategy,
-    scheme: NmScheme,
-    seed: u64,
-    dies: u32,
-    planes: u32,
-    policy: StripePolicy,
-    queue_cap: Option<usize>,
-) -> StorageEngine {
-    striped_heap_engine(
+    quiet_striped_engine(
         strategy,
         scheme,
         seed,
         dies,
-        planes,
+        1,
         policy,
-        Some(queue_cap),
+        MaintMode::background(queue_cap),
     )
 }
 
@@ -356,24 +323,8 @@ pub fn device_layout() -> PageLayout {
 /// seed, so two calls build identical twins to drive through different
 /// interfaces.
 pub fn striped_device(strategy: WriteStrategy, seed: u64, dies: u32, planes: u32) -> ShardedFtl {
-    assert!(dies >= 1 && dies.is_power_of_two(), "die counts are 2^k");
-    let cfg = match strategy {
-        WriteStrategy::Traditional => FtlConfig::traditional(),
-        WriteStrategy::IpaConventional => FtlConfig::ipa_conventional(device_layout()),
-        WriteStrategy::IpaNative => FtlConfig::ipa_native(device_layout()),
-    };
-    let channels = dies.min(4);
-    let chip = DeviceConfig::new(
-        Geometry::new(24u32.next_multiple_of(planes), 8, 2048, 64).with_planes(planes),
-        FlashMode::PSlc,
-    )
-    .with_disturb(DisturbRates::none())
-    .with_seed(seed);
-    ShardedFtl::new(
-        ControllerConfig::new(channels, dies / channels, chip),
-        cfg,
-        StripePolicy::RoundRobin,
-    )
+    let (controller, cfg) = striped_device_parts(strategy, seed, dies, planes);
+    ShardedFtl::new(controller, cfg, StripePolicy::RoundRobin)
 }
 
 /// [`striped_device`] with latency-QoS scheduling enabled on the
@@ -386,24 +337,30 @@ pub fn striped_qos_device(
     dies: u32,
     planes: u32,
 ) -> ShardedFtl {
-    assert!(dies >= 1 && dies.is_power_of_two(), "die counts are 2^k");
+    let (controller, cfg) = striped_device_parts(strategy, seed, dies, planes);
+    ShardedFtl::new(controller.with_qos(), cfg, StripePolicy::RoundRobin)
+}
+
+fn striped_device_parts(
+    strategy: WriteStrategy,
+    seed: u64,
+    dies: u32,
+    planes: u32,
+) -> (ControllerConfig, FtlConfig) {
+    let topology = die_topology(dies, planes, StripePolicy::RoundRobin);
     let cfg = match strategy {
         WriteStrategy::Traditional => FtlConfig::traditional(),
         WriteStrategy::IpaConventional => FtlConfig::ipa_conventional(device_layout()),
         WriteStrategy::IpaNative => FtlConfig::ipa_native(device_layout()),
     };
-    let channels = dies.min(4);
     let chip = DeviceConfig::new(
         Geometry::new(24u32.next_multiple_of(planes), 8, 2048, 64).with_planes(planes),
         FlashMode::PSlc,
     )
     .with_disturb(DisturbRates::none())
     .with_seed(seed);
-    ShardedFtl::new(
-        ControllerConfig::new(channels, dies / channels, chip).with_qos(),
-        cfg,
-        StripePolicy::RoundRobin,
-    )
+    let controller = ControllerConfig::new(topology.channels, topology.dies_per_channel, chip);
+    (controller, cfg)
 }
 
 /// The canonical crash/recovery soak shape: `tenants` tenants sharing a

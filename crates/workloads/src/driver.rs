@@ -17,11 +17,12 @@ use ipa_ftl::{
 };
 use ipa_heat::{DefaultPolicy, HeatDevice, HeatStats};
 use ipa_maint::{MaintConfig, MaintStats, MaintainedFtl};
-use ipa_storage::{EngineConfig, NetBytesHistogram, PoolStats, Result, StorageEngine, TableKind};
+use ipa_storage::{NetBytesHistogram, PoolStats, Result, StorageEngine};
 use ipa_trace::{LatencyHistogram, MetricsSnapshot, RingRecorder, TraceEvent};
 
+use crate::experiment::{blocks_per_die, Sizing};
 use crate::metrics::engine_metrics;
-use crate::spec::{build, Benchmark, WorkloadKind};
+use crate::spec::Benchmark;
 
 /// Simulated per-transaction latency distribution (device time only; add
 /// `cpu_ns_per_tx` for end-to-end figures).
@@ -393,7 +394,6 @@ pub struct RunResult {
     pub benchmark: String,
     pub strategy: WriteStrategy,
     pub scheme: NmScheme,
-    pub mode: FlashMode,
     pub transactions: u64,
     /// Simulated wall time of the measured window, nanoseconds.
     pub elapsed_ns: u64,
@@ -428,7 +428,7 @@ pub struct RunResult {
     /// controller.
     pub controller: Option<ControllerStats>,
     /// Background-maintenance counters, when the device runs GC on the
-    /// idle-die scheduler ([`Driver::run_maintained`]).
+    /// idle-die scheduler ([`MaintMode::background_gc`] or a heat policy).
     pub maint: Option<MaintStats>,
     /// Heat-placement counters, when the run mounted the device behind a
     /// [`HeatDevice`] ([`DriverConfig::with_heat`]).
@@ -703,7 +703,6 @@ impl Driver {
             benchmark: bench.name().to_string(),
             strategy: engine.config().strategy,
             scheme: engine.config().scheme,
-            mode: FlashMode::Slc, // callers overwrite via run_configured
             transactions: committed,
             elapsed_ns,
             tps,
@@ -758,237 +757,6 @@ impl Driver {
             .map(|s| std::sync::Arc::clone(s.controller()))
     }
 
-    /// One-call experiment: build the benchmark, size a device for it,
-    /// build the engine, run.
-    ///
-    /// The device is sized from the benchmark's table budget with ~40 %
-    /// headroom (over-provisioning + GC room), mirroring a mostly-full SSD
-    /// as in the paper's two-hour runs.
-    pub fn run_configured(
-        kind: WorkloadKind,
-        scale: u32,
-        strategy: WriteStrategy,
-        scheme: NmScheme,
-        mode: FlashMode,
-        cfg: &DriverConfig,
-    ) -> Result<RunResult> {
-        let page_size = 8 * 1024;
-        let mut bench = build(kind, scale, page_size);
-        let mut engine = Self::make_engine(
-            bench.as_mut(),
-            strategy,
-            scheme,
-            mode,
-            page_size,
-            cfg.buffer_frames,
-        )?;
-        let mut result = Self::run(bench.as_mut(), &mut engine, cfg)?;
-        result.mode = mode;
-        Ok(result)
-    }
-
-    /// [`Driver::run_configured`] over a die-striped device: same
-    /// benchmark sizing, but the blocks are spread across a
-    /// `channels × dies_per_channel` controller topology. Combine with
-    /// `cfg.streams > 1` so queueing effects reach the latency tail.
-    pub fn run_sharded(
-        kind: WorkloadKind,
-        scale: u32,
-        strategy: WriteStrategy,
-        scheme: NmScheme,
-        mode: FlashMode,
-        topology: Topology,
-        cfg: &DriverConfig,
-    ) -> Result<RunResult> {
-        Self::run_maintained(
-            kind,
-            scale,
-            strategy,
-            scheme,
-            mode,
-            topology,
-            MaintMode::inline(),
-            cfg,
-        )
-    }
-
-    /// [`Driver::run_sharded`] with an explicit [`MaintMode`]: an NCQ
-    /// queue cap on the controller and, when `maint.background_gc`, the
-    /// idle-die maintenance scheduler in place of inline low-water GC.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_maintained(
-        kind: WorkloadKind,
-        scale: u32,
-        strategy: WriteStrategy,
-        scheme: NmScheme,
-        mode: FlashMode,
-        topology: Topology,
-        maint: MaintMode,
-        cfg: &DriverConfig,
-    ) -> Result<RunResult> {
-        let page_size = 8 * 1024;
-        let mut bench = build(kind, scale, page_size);
-        let mut engine = Self::make_maintained_engine(
-            bench.as_mut(),
-            strategy,
-            scheme,
-            mode,
-            page_size,
-            topology,
-            maint,
-            cfg,
-        )?;
-        let mut result = Self::run(bench.as_mut(), &mut engine, cfg)?;
-        result.mode = mode;
-        Ok(result)
-    }
-
-    /// [`Driver::make_sharded_engine`] under a [`MaintMode`]: same device
-    /// sizing and striping, with the queue cap applied to the controller
-    /// and — for background GC — the shards configured to defer low-water
-    /// reclaim to a [`MaintainedFtl`] wrapper around the stripe. The
-    /// driver config supplies the host-side tuning: buffer frames,
-    /// read-ahead window, WAL striping and group-commit depth.
-    #[allow(clippy::too_many_arguments)]
-    pub fn make_maintained_engine(
-        bench: &mut dyn Benchmark,
-        strategy: WriteStrategy,
-        scheme: NmScheme,
-        mode: FlashMode,
-        page_size: usize,
-        topology: Topology,
-        maint: MaintMode,
-        cfg: &DriverConfig,
-    ) -> Result<StorageEngine> {
-        let tables = bench.tables();
-        let pages_needed: u64 = tables.iter().map(|t| t.pages).sum();
-        let ppb = 128u32;
-        let usable_ppb = mode.usable_pages_per_block(ppb) as u64;
-        let dies = topology.dies() as u64;
-        let blocks_per_die = (((pages_needed * 14 / 10).div_ceil(usable_ppb * dies)) as u32 + 8)
-            .next_multiple_of(topology.planes);
-        let chip = DeviceConfig::new(
-            Geometry::new(blocks_per_die, ppb, page_size, 128).with_planes(topology.planes),
-            mode,
-        );
-        let mut controller =
-            ControllerConfig::new(topology.channels, topology.dies_per_channel, chip);
-        if let Some(cap) = maint.queue_cap {
-            controller = controller.with_queue_cap(cap);
-        }
-        if maint.qos {
-            controller = controller.with_qos();
-        }
-
-        let frames = cfg.buffer_frames.unwrap_or(32);
-        let mut config = if strategy.needs_layout() {
-            EngineConfig::default().with_strategy(strategy, scheme)
-        } else {
-            EngineConfig::default()
-        }
-        .with_buffer_frames(frames)
-        .with_group_commit(cfg.group_commit.unwrap_or(32));
-        if cfg.readahead > 0 {
-            config = config.with_readahead(cfg.readahead);
-        }
-        if let Some((wal_ch, wal_dies)) = cfg.wal_stripe {
-            config = config.with_striped_wal(wal_ch, wal_dies);
-        }
-        let policy = topology.policy;
-        let heat = cfg.heat.clone();
-        StorageEngine::build_with_device(page_size, config, &tables, move |regions, ftl_config| {
-            if let Some(placement) = heat {
-                // Heat placement needs the scheduler, so it always runs
-                // with deferred (background) GC.
-                let ftl_config = ftl_config.with_background_gc();
-                let striped = ShardedFtl::with_regions(controller, ftl_config, policy, regions);
-                Box::new(HeatDevice::new(
-                    MaintainedFtl::new(striped, maint.maint),
-                    Box::new(placement),
-                ))
-            } else if maint.background_gc {
-                let ftl_config = ftl_config.with_background_gc();
-                let striped = ShardedFtl::with_regions(controller, ftl_config, policy, regions);
-                Box::new(MaintainedFtl::new(striped, maint.maint))
-            } else {
-                Box::new(ShardedFtl::with_regions(
-                    controller, ftl_config, policy, regions,
-                ))
-            }
-        })
-    }
-
-    /// Build an engine whose device is a [`ShardedFtl`] over the given
-    /// topology. Total raw capacity matches the single-chip sizing of
-    /// [`Driver::make_engine`] (the same ~40 % headroom divided across the
-    /// dies), plus a per-die GC reserve — so a topology sweep varies
-    /// *parallelism*, not usable space. Exactly
-    /// [`Driver::make_maintained_engine`] under [`MaintMode::inline`],
-    /// so the maintenance sweeps compare like-for-like devices.
-    pub fn make_sharded_engine(
-        bench: &mut dyn Benchmark,
-        strategy: WriteStrategy,
-        scheme: NmScheme,
-        mode: FlashMode,
-        page_size: usize,
-        topology: Topology,
-        cfg: &DriverConfig,
-    ) -> Result<StorageEngine> {
-        Self::make_maintained_engine(
-            bench,
-            strategy,
-            scheme,
-            mode,
-            page_size,
-            topology,
-            MaintMode::inline(),
-            cfg,
-        )
-    }
-
-    /// One-call read-ahead experiment: build a striped engine for
-    /// `kind`, load it, then run [`Driver::sequential_scan`] over its
-    /// largest heap table. `cfg.readahead` decides whether the pool
-    /// prefetches — run it at 0 and again at a window to measure the
-    /// all-channels-scan win.
-    pub fn run_scan(
-        kind: WorkloadKind,
-        scale: u32,
-        topology: Topology,
-        passes: u32,
-        cfg: &DriverConfig,
-    ) -> Result<ScanResult> {
-        let page_size = 8 * 1024;
-        let mut bench = build(kind, scale, page_size);
-        let mut engine = Self::make_sharded_engine(
-            bench.as_mut(),
-            WriteStrategy::Traditional,
-            NmScheme::disabled(),
-            FlashMode::PSlc,
-            page_size,
-            topology,
-            cfg,
-        )?;
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        bench.load(&mut engine, &mut rng)?;
-        engine.flush_all()?;
-        // Scan the biggest *populated* heap table (budgeted-but-empty
-        // append targets like TPC-B's history don't make a scan).
-        let table = bench
-            .tables()
-            .into_iter()
-            .filter(|t| t.kind == TableKind::Heap)
-            .max_by_key(|t| {
-                engine
-                    .table(&t.name)
-                    .map(|id| engine.table_info(id).allocated_pages)
-                    .unwrap_or(0)
-            })
-            .expect("benchmark has a heap table")
-            .name;
-        Self::sequential_scan(&mut engine, &table, passes)
-    }
-
     /// Cold sequential scan of `table`, end to end, `passes` times, with
     /// the cache dropped between passes so every page is fetched from
     /// flash — the read-ahead experiment's measured window. With
@@ -1018,43 +786,6 @@ impl Driver {
             readahead_hits: device.readahead_hits,
             vectored_reads: device.vectored_reads,
         })
-    }
-
-    /// Build an engine with a device sized for the benchmark.
-    pub fn make_engine(
-        bench: &mut dyn Benchmark,
-        strategy: WriteStrategy,
-        scheme: NmScheme,
-        mode: FlashMode,
-        page_size: usize,
-        buffer_frames: Option<usize>,
-    ) -> Result<StorageEngine> {
-        let tables = bench.tables();
-        let pages_needed: u64 = tables.iter().map(|t| t.pages).sum();
-        let ppb = 128u32;
-        let usable_ppb = mode.usable_pages_per_block(ppb) as u64;
-        let blocks = (pages_needed * 14 / 10 / usable_ppb + 8) as u32;
-        let device = DeviceConfig::new(Geometry::new(blocks, ppb, page_size, 128), mode);
-
-        // Buffer-constrained by default, like the paper's runs: the hot
-        // update set does not fit, so dirty pages are evicted with only a
-        // handful of accumulated byte changes each — the condition that
-        // makes the N×M scheme effective.
-        let frames = buffer_frames.unwrap_or(32);
-        // Group commit of 32 models the loaded multi-client system the
-        // paper benchmarks (Shore-MT runs many worker threads; per-commit
-        // log flushes amortize across the group).
-        let config = if strategy.needs_layout() {
-            EngineConfig::default()
-                .with_strategy(strategy, scheme)
-                .with_buffer_frames(frames)
-                .with_group_commit(32)
-        } else {
-            EngineConfig::default()
-                .with_buffer_frames(frames)
-                .with_group_commit(32)
-        };
-        StorageEngine::build(device, config, &tables)
     }
 }
 
@@ -1175,15 +906,16 @@ impl Driver {
         let dies = topo.dies() as u64;
         let ranks = (cfg.streams as u64).div_ceil(dies);
 
-        // Size the device for every stream's window plus GC headroom.
+        // Size every die for its `ranks` stream windows plus GC headroom.
         let ppb = 32u32;
-        let usable_ppb = FlashMode::Slc.usable_pages_per_block(ppb) as u64;
-        let subs_per_die = ranks * cfg.window;
-        let blocks_per_die = ((subs_per_die * 14 / 10).div_ceil(usable_ppb) as u32 + 8)
-            .max(12)
-            .next_multiple_of(topo.planes);
+        let per_die = Sizing::Striped {
+            dies: 1,
+            planes: topo.planes,
+            min_blocks: 12,
+        };
+        let blocks = blocks_per_die(ranks * cfg.window, FlashMode::Slc, ppb, per_die);
         let chip = DeviceConfig::new(
-            Geometry::new(blocks_per_die, ppb, cfg.page_size, 64).with_planes(topo.planes),
+            Geometry::new(blocks, ppb, cfg.page_size, 64).with_planes(topo.planes),
             FlashMode::Slc,
         )
         .with_disturb(DisturbRates::none())
@@ -1293,8 +1025,27 @@ impl Driver {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::{Experiment, WorkloadKind};
+
+    /// IPA-native [2×4] on pSLC flash.
+    pub(crate) fn ipa() -> Experiment {
+        Experiment::new(
+            WriteStrategy::IpaNative,
+            NmScheme::new(2, 4),
+            FlashMode::PSlc,
+        )
+    }
+
+    /// The traditional out-of-place baseline on pSLC flash.
+    pub(crate) fn traditional() -> Experiment {
+        Experiment::new(
+            WriteStrategy::Traditional,
+            NmScheme::disabled(),
+            FlashMode::PSlc,
+        )
+    }
 
     #[test]
     fn quick_tpcb_run_all_strategies() {
@@ -1303,24 +1054,8 @@ mod tests {
             warmup: 50,
             ..Default::default()
         };
-        let trad = Driver::run_configured(
-            WorkloadKind::TpcB,
-            1,
-            WriteStrategy::Traditional,
-            NmScheme::disabled(),
-            FlashMode::PSlc,
-            &cfg,
-        )
-        .unwrap();
-        let native = Driver::run_configured(
-            WorkloadKind::TpcB,
-            1,
-            WriteStrategy::IpaNative,
-            NmScheme::new(2, 4),
-            FlashMode::PSlc,
-            &cfg,
-        )
-        .unwrap();
+        let trad = traditional().run(WorkloadKind::TpcB, 1, &cfg).unwrap();
+        let native = ipa().run(WorkloadKind::TpcB, 1, &cfg).unwrap();
         assert_eq!(trad.transactions, 300);
         assert!(trad.tps > 0.0);
         assert!(native.device.in_place_appends > 0);
@@ -1338,24 +1073,8 @@ mod tests {
             seed: 42,
             ..Default::default()
         };
-        let a = Driver::run_configured(
-            WorkloadKind::Tatp,
-            1,
-            WriteStrategy::IpaNative,
-            NmScheme::new(2, 4),
-            FlashMode::PSlc,
-            &cfg,
-        )
-        .unwrap();
-        let b = Driver::run_configured(
-            WorkloadKind::Tatp,
-            1,
-            WriteStrategy::IpaNative,
-            NmScheme::new(2, 4),
-            FlashMode::PSlc,
-            &cfg,
-        )
-        .unwrap();
+        let a = ipa().run(WorkloadKind::Tatp, 1, &cfg).unwrap();
+        let b = ipa().run(WorkloadKind::Tatp, 1, &cfg).unwrap();
         assert_eq!(a.device, b.device, "same seed ⇒ identical counters");
         assert_eq!(a.elapsed_ns, b.elapsed_ns);
     }
@@ -1438,7 +1157,9 @@ mod latency_tests {
 
 #[cfg(test)]
 mod multi_client_tests {
+    use super::tests::{ipa, traditional};
     use super::*;
+    use crate::WorkloadKind;
 
     #[test]
     fn multi_stream_run_reports_per_stream_percentiles() {
@@ -1448,16 +1169,10 @@ mod multi_client_tests {
             ..Default::default()
         }
         .with_streams(4);
-        let r = Driver::run_sharded(
-            WorkloadKind::TpcB,
-            1,
-            WriteStrategy::IpaNative,
-            NmScheme::new(2, 4),
-            FlashMode::PSlc,
-            Topology::new(2, 2, StripePolicy::RoundRobin),
-            &cfg,
-        )
-        .unwrap();
+        let r = ipa()
+            .striped(Topology::new(2, 2, StripePolicy::RoundRobin))
+            .run(WorkloadKind::TpcB, 1, &cfg)
+            .unwrap();
         assert_eq!(r.transactions, 240);
         assert_eq!(r.per_stream.len(), 4);
         let total: u64 = r.per_stream.iter().map(|s| s.transactions).sum();
@@ -1483,16 +1198,10 @@ mod multi_client_tests {
             warmup: 20,
             ..Default::default()
         };
-        let r = Driver::run_sharded(
-            WorkloadKind::TpcB,
-            1,
-            WriteStrategy::Traditional,
-            NmScheme::disabled(),
-            FlashMode::PSlc,
-            Topology::single(),
-            &cfg,
-        )
-        .unwrap();
+        let r = traditional()
+            .striped(Topology::single())
+            .run(WorkloadKind::TpcB, 1, &cfg)
+            .unwrap();
         assert!(r.per_stream.is_empty());
         assert_eq!(r.latency.count, 120);
     }
@@ -1505,34 +1214,26 @@ mod multi_client_tests {
             ..Default::default()
         }
         .with_streams(4);
-        let r = Driver::run_maintained(
-            WorkloadKind::TpcB,
-            1,
-            WriteStrategy::IpaNative,
-            NmScheme::new(2, 4),
-            FlashMode::PSlc,
-            Topology::new(2, 2, StripePolicy::RoundRobin),
-            MaintMode::background(Some(8)),
-            &cfg,
-        )
-        .unwrap();
+        let r = ipa()
+            .maintained(
+                Topology::new(2, 2, StripePolicy::RoundRobin),
+                MaintMode::background(Some(8)),
+            )
+            .run(WorkloadKind::TpcB, 1, &cfg)
+            .unwrap();
         assert_eq!(r.transactions, 200);
         let m = r.maint.expect("maintained device reports its stats");
         assert!(m.polls > 0, "every host command polls the scheduler");
         let c = r.controller.expect("controller-backed");
         assert!(c.wear_spread() <= c.max_die_erases);
         // Inline mode must NOT report maintenance stats.
-        let inline = Driver::run_maintained(
-            WorkloadKind::TpcB,
-            1,
-            WriteStrategy::IpaNative,
-            NmScheme::new(2, 4),
-            FlashMode::PSlc,
-            Topology::new(2, 2, StripePolicy::RoundRobin),
-            MaintMode::capped(8),
-            &cfg,
-        )
-        .unwrap();
+        let inline = ipa()
+            .maintained(
+                Topology::new(2, 2, StripePolicy::RoundRobin),
+                MaintMode::capped(8),
+            )
+            .run(WorkloadKind::TpcB, 1, &cfg)
+            .unwrap();
         assert!(inline.maint.is_none());
     }
 
@@ -1545,17 +1246,10 @@ mod multi_client_tests {
         }
         .with_streams(4);
         let run = |mode: MaintMode| {
-            Driver::run_maintained(
-                WorkloadKind::TpcB,
-                1,
-                WriteStrategy::IpaNative,
-                NmScheme::new(2, 4),
-                FlashMode::PSlc,
-                Topology::new(2, 2, StripePolicy::RoundRobin),
-                mode,
-                &cfg,
-            )
-            .unwrap()
+            ipa()
+                .maintained(Topology::new(2, 2, StripePolicy::RoundRobin), mode)
+                .run(WorkloadKind::TpcB, 1, &cfg)
+                .unwrap()
         };
         let fifo = run(MaintMode::background(Some(8)));
         let qos = run(MaintMode::background(Some(8)).with_qos());
@@ -1587,17 +1281,13 @@ mod multi_client_tests {
         }
         .with_streams(3);
         let run = || {
-            Driver::run_maintained(
-                WorkloadKind::Tatp,
-                1,
-                WriteStrategy::IpaNative,
-                NmScheme::new(2, 4),
-                FlashMode::PSlc,
-                Topology::new(2, 2, StripePolicy::RoundRobin),
-                MaintMode::background(Some(8)),
-                &cfg,
-            )
-            .unwrap()
+            ipa()
+                .maintained(
+                    Topology::new(2, 2, StripePolicy::RoundRobin),
+                    MaintMode::background(Some(8)),
+                )
+                .run(WorkloadKind::Tatp, 1, &cfg)
+                .unwrap()
         };
         let a = run();
         let b = run();
@@ -1616,16 +1306,10 @@ mod multi_client_tests {
         }
         .with_streams(3);
         let run = || {
-            Driver::run_sharded(
-                WorkloadKind::Tatp,
-                1,
-                WriteStrategy::IpaNative,
-                NmScheme::new(2, 4),
-                FlashMode::PSlc,
-                Topology::new(2, 2, StripePolicy::Hash),
-                &cfg,
-            )
-            .unwrap()
+            ipa()
+                .striped(Topology::new(2, 2, StripePolicy::Hash))
+                .run(WorkloadKind::Tatp, 1, &cfg)
+                .unwrap()
         };
         let a = run();
         let b = run();
@@ -1643,16 +1327,10 @@ mod multi_client_tests {
         }
         .with_streams(4);
         let run = |topology: Topology| {
-            Driver::run_sharded(
-                WorkloadKind::TpcB,
-                1,
-                WriteStrategy::IpaNative,
-                NmScheme::new(2, 4),
-                FlashMode::PSlc,
-                topology,
-                &cfg,
-            )
-            .unwrap()
+            ipa()
+                .striped(topology)
+                .run(WorkloadKind::TpcB, 1, &cfg)
+                .unwrap()
         };
         let single = run(Topology::single());
         let wide = run(Topology::new(4, 2, StripePolicy::RoundRobin));

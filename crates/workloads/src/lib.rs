@@ -4,10 +4,11 @@
 //! write-amplification analysis with a LinkBench-based social-network
 //! trace. This crate implements all four as seeded, deterministic
 //! transaction generators over the [`ipa_storage::StorageEngine`], plus
-//! the [`Driver`] that produces the per-run counters every bench table is
-//! built from.
+//! the [`Experiment`] builder and [`Driver`] that produce the per-run
+//! counters every bench table is built from.
 
 pub mod driver;
+pub mod experiment;
 pub mod linkbench;
 pub mod metrics;
 pub mod spec;
@@ -20,6 +21,7 @@ pub use driver::{
     fairness_spread, Driver, DriverConfig, LatencyPercentiles, MaintMode, RunResult, ScanResult,
     StreamLatency, ThreadedConfig, ThreadedRunResult, Topology,
 };
+pub use experiment::{blocks_per_die, mount_striped, Experiment, Sizing};
 pub use ipa_heat::{DefaultPolicy as HeatPolicy, HeatDevice, HeatStats, PlacementPolicy};
 pub use ipa_maint::{MaintConfig, MaintStats, MaintainedFtl};
 pub use ipa_trace::{

@@ -209,11 +209,9 @@ fn device_section(name: &str, d: &ipa_ftl::DeviceStats) -> MetricSection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::tests::{ipa, traditional};
     use crate::driver::{DriverConfig, MaintMode, Topology};
     use crate::spec::{build, WorkloadKind};
-    use ipa_core::NmScheme;
-    use ipa_flash::FlashMode;
-    use ipa_ftl::WriteStrategy;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -221,17 +219,13 @@ mod tests {
     fn snapshot_covers_every_layer_of_a_maintained_engine() {
         let cfg = DriverConfig::quick().with_wal_stripe(2, 1);
         let mut bench = build(WorkloadKind::TpcB, 1, 8 * 1024);
-        let mut engine = Driver::make_maintained_engine(
-            bench.as_mut(),
-            WriteStrategy::IpaNative,
-            NmScheme::new(2, 4),
-            FlashMode::PSlc,
-            8 * 1024,
-            Topology::new(2, 2, ipa_ftl::StripePolicy::RoundRobin),
-            MaintMode::background(Some(8)),
-            &cfg,
-        )
-        .unwrap();
+        let mut engine = ipa()
+            .maintained(
+                Topology::new(2, 2, ipa_ftl::StripePolicy::RoundRobin),
+                MaintMode::background(Some(8)),
+            )
+            .engine(bench.as_ref(), &cfg)
+            .unwrap();
         let mut rng = StdRng::seed_from_u64(7);
         bench.load(&mut engine, &mut rng).unwrap();
         for _ in 0..200 {
@@ -284,16 +278,10 @@ mod tests {
         let snap = {
             let cfg = DriverConfig::quick().with_wal_stripe(2, 1);
             let mut bench = build(WorkloadKind::TpcB, 1, 8 * 1024);
-            let mut engine = Driver::make_sharded_engine(
-                bench.as_mut(),
-                WriteStrategy::Traditional,
-                NmScheme::disabled(),
-                FlashMode::PSlc,
-                8 * 1024,
-                Topology::single(),
-                &cfg,
-            )
-            .unwrap();
+            let mut engine = traditional()
+                .striped(Topology::single())
+                .engine(bench.as_ref(), &cfg)
+                .unwrap();
             let mut rng = StdRng::seed_from_u64(3);
             bench.load(&mut engine, &mut rng).unwrap();
             for _ in 0..100 {

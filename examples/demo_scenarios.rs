@@ -54,7 +54,8 @@ fn main() {
     let mut results: Vec<(&str, RunResult)> = Vec::new();
     for (label, strategy, scheme) in scenarios {
         eprintln!("running scenario {label} ...");
-        let r = Driver::run_configured(kind, scale, strategy, scheme, FlashMode::PSlc, &cfg)
+        let r = Experiment::new(strategy, scheme, FlashMode::PSlc)
+            .run(kind, scale, &cfg)
             .expect("scenario run");
         results.push((label, r));
     }

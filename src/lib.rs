@@ -28,14 +28,12 @@
 //! // Run 200 TPC-B transactions under IPA (native write_delta) on
 //! // simulated pSLC flash, and compare against the traditional path.
 //! let cfg = DriverConfig::quick().with_transactions(200);
-//! let ipa = Driver::run_configured(
-//!     WorkloadKind::TpcB, 1, WriteStrategy::IpaNative,
-//!     NmScheme::new(2, 4), FlashMode::PSlc, &cfg,
-//! ).unwrap();
-//! let trad = Driver::run_configured(
-//!     WorkloadKind::TpcB, 1, WriteStrategy::Traditional,
-//!     NmScheme::disabled(), FlashMode::PSlc, &cfg,
-//! ).unwrap();
+//! let ipa = Experiment::new(WriteStrategy::IpaNative, NmScheme::new(2, 4), FlashMode::PSlc)
+//!     .run(WorkloadKind::TpcB, 1, &cfg)
+//!     .unwrap();
+//! let trad = Experiment::new(WriteStrategy::Traditional, NmScheme::disabled(), FlashMode::PSlc)
+//!     .run(WorkloadKind::TpcB, 1, &cfg)
+//!     .unwrap();
 //! assert!(ipa.device.page_invalidations <= trad.device.page_invalidations);
 //! ```
 pub use ipa_controller as controller;
@@ -62,5 +60,5 @@ pub mod prelude {
     pub use ipa_storage::{
         standard_layout, BufferPool, EngineConfig, Rid, StorageEngine, TableSpec,
     };
-    pub use ipa_workloads::{Benchmark, Driver, DriverConfig, RunResult, WorkloadKind};
+    pub use ipa_workloads::{Benchmark, Driver, DriverConfig, Experiment, RunResult, WorkloadKind};
 }

@@ -10,7 +10,23 @@ use ipa_controller::ControllerConfig;
 use ipa_core::NmScheme;
 use ipa_flash::{DeviceConfig, DisturbRates, FlashMode, Geometry};
 use ipa_ftl::{BlockDevice, FtlConfig, ShardedFtl, StripePolicy, WriteStrategy};
-use ipa_workloads::{Driver, DriverConfig, RunResult, Topology, WorkloadKind};
+use ipa_workloads::{DriverConfig, Experiment, RunResult, Topology, WorkloadKind};
+
+fn ipa() -> Experiment {
+    Experiment::new(
+        WriteStrategy::IpaNative,
+        NmScheme::new(2, 4),
+        FlashMode::PSlc,
+    )
+}
+
+fn traditional() -> Experiment {
+    Experiment::new(
+        WriteStrategy::Traditional,
+        NmScheme::disabled(),
+        FlashMode::PSlc,
+    )
+}
 
 fn run(kind: WorkloadKind, topo: Topology) -> RunResult {
     let cfg = DriverConfig {
@@ -19,16 +35,7 @@ fn run(kind: WorkloadKind, topo: Topology) -> RunResult {
         ..Default::default()
     }
     .with_streams(8);
-    Driver::run_sharded(
-        kind,
-        1,
-        WriteStrategy::IpaNative,
-        NmScheme::new(2, 4),
-        FlashMode::PSlc,
-        topo,
-        &cfg,
-    )
-    .expect("sweep run")
+    ipa().striped(topo).run(kind, 1, &cfg).expect("sweep run")
 }
 
 #[test]
@@ -107,16 +114,10 @@ fn plane_speedup_composes_with_die_parallelism() {
     }
     .with_streams(4);
     let run = |planes: u32| {
-        Driver::run_sharded(
-            WorkloadKind::TpcB,
-            1,
-            WriteStrategy::Traditional,
-            NmScheme::disabled(),
-            FlashMode::PSlc,
-            Topology::new(2, 2, StripePolicy::RoundRobin).with_planes(planes),
-            &cfg,
-        )
-        .expect("plane run")
+        traditional()
+            .striped(Topology::new(2, 2, StripePolicy::RoundRobin).with_planes(planes))
+            .run(WorkloadKind::TpcB, 1, &cfg)
+            .expect("plane run")
     };
     let base = run(1);
     let dual = run(2);
@@ -144,8 +145,9 @@ fn readahead_scan_uses_all_channels() {
     let topo = Topology::new(4, 2, StripePolicy::RoundRobin);
     let base = DriverConfig::default();
     let ra = base.clone().with_readahead(8);
-    let off = Driver::run_scan(WorkloadKind::TpcB, 1, topo, 2, &base).expect("scan");
-    let on = Driver::run_scan(WorkloadKind::TpcB, 1, topo, 2, &ra).expect("scan");
+    let scan = traditional().striped(topo);
+    let off = scan.scan(WorkloadKind::TpcB, 1, 2, &base).expect("scan");
+    let on = scan.scan(WorkloadKind::TpcB, 1, 2, &ra).expect("scan");
     assert_eq!(off.readahead_hits, 0, "read-ahead off means zero hits");
     assert_eq!(off.pages, on.pages, "same table, same fetches");
     assert!(
@@ -183,16 +185,10 @@ fn striped_wal_lifts_wal_bound_throughput() {
         if let Some((c, d)) = wal_stripe {
             cfg = cfg.with_wal_stripe(c, d);
         }
-        Driver::run_sharded(
-            WorkloadKind::TpcB,
-            1,
-            WriteStrategy::IpaNative,
-            NmScheme::new(2, 4),
-            FlashMode::PSlc,
-            Topology::new(4, 2, StripePolicy::RoundRobin),
-            &cfg,
-        )
-        .expect("wal run")
+        ipa()
+            .striped(Topology::new(4, 2, StripePolicy::RoundRobin))
+            .run(WorkloadKind::TpcB, 1, &cfg)
+            .expect("wal run")
     };
     let single = run(None);
     let striped = run(Some((4, 1)));

@@ -19,22 +19,19 @@
 use ipa_core::NmScheme;
 use ipa_flash::FlashMode;
 use ipa_ftl::{StripePolicy, WriteStrategy};
-use ipa_workloads::{Driver, DriverConfig, MaintMode, RunResult, Topology, WorkloadKind};
+use ipa_workloads::{DriverConfig, Experiment, MaintMode, RunResult, Topology, WorkloadKind};
 
 fn run_mode(kind: WorkloadKind, maint: MaintMode) -> RunResult {
     let cfg = DriverConfig::default()
         .with_transactions(20_000)
         .with_streams(8);
-    Driver::run_maintained(
-        kind,
-        1,
+    Experiment::new(
         WriteStrategy::Traditional,
         NmScheme::disabled(),
         FlashMode::PSlc,
-        Topology::new(4, 2, StripePolicy::RoundRobin),
-        maint,
-        &cfg,
     )
+    .maintained(Topology::new(4, 2, StripePolicy::RoundRobin), maint)
+    .run(kind, 1, &cfg)
     .expect("maintained run")
 }
 

@@ -19,7 +19,7 @@ use ipa_ftl::{StripePolicy, WriteStrategy};
 use ipa_trace::json::JsonValue;
 use ipa_trace::{chrome_trace_json, json, LatencyHistogram};
 use ipa_workloads::{
-    build, Driver, DriverConfig, LatencyPercentiles, MaintMode, Topology, WorkloadKind,
+    build, Driver, DriverConfig, Experiment, LatencyPercentiles, MaintMode, Topology, WorkloadKind,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -29,16 +29,13 @@ fn trace_reconciles_with_controller_stats() {
     let cfg = DriverConfig::default();
     let topo = Topology::new(4, 2, StripePolicy::RoundRobin);
     let mut bench = build(WorkloadKind::TpcB, 1, 8 * 1024);
-    let mut engine = Driver::make_maintained_engine(
-        bench.as_mut(),
+    let mut engine = Experiment::new(
         WriteStrategy::Traditional,
         NmScheme::disabled(),
         FlashMode::PSlc,
-        8 * 1024,
-        topo,
-        MaintMode::background(None).with_qos(),
-        &cfg,
     )
+    .maintained(topo, MaintMode::background(None).with_qos())
+    .engine(bench.as_ref(), &cfg)
     .expect("engine builds");
     let mut rng = StdRng::seed_from_u64(0x7C_B5EED);
     bench.load(&mut engine, &mut rng).expect("load");
