@@ -519,8 +519,14 @@ fn main() {
         );
         ipa_bench::rule(118);
         println!(
-            "{:<14}{:>10}{:>10}{:>10}{:>14}{:>16}{:>14}",
-            "log device", "workload", "tps", "speedup", "p99 µs", "stripe flushes", "vec writes"
+            "{:<14}{:>10}{:>10}{:>10}{:>14}{:>20}{:>14}",
+            "log device",
+            "workload",
+            "tps",
+            "speedup",
+            "p99 µs",
+            "multi-page flushes",
+            "vec writes"
         );
         ipa_bench::rule(118);
         for kind in workloads {
@@ -539,7 +545,7 @@ fn main() {
             ] {
                 let w = r.wal_device.unwrap_or_default();
                 println!(
-                    "{:<14}{:>10}{:>10.0}{:>9.2}x{:>14.1}{:>16}{:>14}",
+                    "{:<14}{:>10}{:>10.0}{:>9.2}x{:>14.1}{:>20}{:>14}",
                     label,
                     kind.name(),
                     r.tps,

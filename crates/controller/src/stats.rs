@@ -4,71 +4,78 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Aggregate scheduler statistics across all channels and dies.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ControllerStats {
-    /// Commands dispatched (reads + programs + appends + erases).
-    pub commands: u64,
-    /// Synchronous read commands (host blocked until data arrived).
-    pub reads: u64,
-    /// Subset of `reads` issued inside a posted-read window (vectored
-    /// host reads / read-ahead): the host did not block at issue; the
-    /// completion time was surfaced through the queue instead.
-    #[serde(default)]
-    pub posted_reads: u64,
-    /// Posted program/re-program/append commands.
-    pub programs: u64,
-    /// Posted erase commands.
-    pub erases: u64,
-    /// Total time commands spent queued before their die/channel was free.
-    pub queue_wait_ns: u64,
-    /// Total channel-bus occupancy (all channels summed).
-    pub bus_busy_ns: u64,
-    /// Deepest any single die queue got (posted commands in flight).
-    pub max_queue_depth: usize,
-    /// Explicit sync points (full clock merges) the host requested.
-    pub sync_points: u64,
-    /// Host submissions that hit a full NCQ queue and had to wait.
-    pub backpressure_stalls: u64,
-    /// Total time host clocks spent blocked on full NCQ queues.
-    pub backpressure_wait_ns: u64,
-    /// Erase count of the most-erased die (controller-level wear view).
-    pub max_die_erases: u64,
-    /// Erase count of the least-erased die.
-    pub min_die_erases: u64,
-    /// Total erase count of every die, indexed by die. Unlike the
-    /// max/min extrema these are *counters*, so `delta_since` subtracts
-    /// them per die — the window view a placement policy needs to see
-    /// which die is wearing right now, not just which has worn the most
-    /// since power-on.
-    #[serde(default)]
-    pub die_erases: Vec<u64>,
-    /// QoS scheduler: host reads that started earlier than FIFO dispatch
-    /// would have allowed (jumped pending posted work, or suspended an
-    /// in-flight erase).
-    #[serde(default)]
-    pub reads_promoted: u64,
-    /// QoS scheduler: erase-suspend commands issued so a host read could
-    /// cut through an in-flight erase pulse.
-    #[serde(default)]
-    pub erase_suspends: u64,
-    /// Posted-read completions the host abandoned via `forget` — retired
-    /// from the completion horizon without ever being polled.
-    #[serde(default)]
-    pub forgotten_reads: u64,
-    /// Posted reads surfaced to the queue whose completions have been
-    /// neither polled nor forgotten yet (a gauge, not a counter; nonzero
-    /// only while completions are in flight).
-    #[serde(default)]
-    pub posted_reads_outstanding: u64,
-    /// Utilization of the busiest die in parts-per-million of elapsed
-    /// simulated time (gauge, computed at snapshot time).
-    #[serde(default)]
-    pub die_util_ppm_max: u64,
-    /// Utilization of the busiest channel bus in parts-per-million of
-    /// elapsed simulated time (gauge, computed at snapshot time).
-    #[serde(default)]
-    pub chan_util_ppm_max: u64,
+ipa_flash::counters! {
+    /// Aggregate scheduler statistics across all channels and dies.
+    /// `delta_since` is the window attribution a multi-tenant harness
+    /// needs to charge scheduler activity (queue waits, NCQ stalls,
+    /// promotions) to the tenant that ran between two snapshots. Gauges
+    /// and whole-device extrema keep their current values: they describe
+    /// device state, not flow.
+    #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct ControllerStats {
+        /// Commands dispatched (reads + programs + appends + erases).
+        counter commands: u64,
+        /// Synchronous read commands (host blocked until data arrived).
+        counter reads: u64,
+        /// Subset of `reads` issued inside a posted-read window (vectored
+        /// host reads / read-ahead): the host did not block at issue; the
+        /// completion time was surfaced through the queue instead.
+        #[serde(default)]
+        counter posted_reads: u64,
+        /// Posted program/re-program/append commands.
+        counter programs: u64,
+        /// Posted erase commands.
+        counter erases: u64,
+        /// Total time commands spent queued before their die/channel was free.
+        counter queue_wait_ns: u64,
+        /// Total channel-bus occupancy (all channels summed).
+        counter bus_busy_ns: u64,
+        /// Deepest any single die queue got (posted commands in flight).
+        gauge max_queue_depth: usize,
+        /// Explicit sync points (full clock merges) the host requested.
+        counter sync_points: u64,
+        /// Host submissions that hit a full NCQ queue and had to wait.
+        counter backpressure_stalls: u64,
+        /// Total time host clocks spent blocked on full NCQ queues.
+        counter backpressure_wait_ns: u64,
+        /// Erase count of the most-erased die (controller-level wear view).
+        gauge max_die_erases: u64,
+        /// Erase count of the least-erased die.
+        gauge min_die_erases: u64,
+        /// Total erase count of every die, indexed by die. Unlike the
+        /// max/min extrema these are *counters*, so `delta_since` subtracts
+        /// them per die — the window view a placement policy needs to see
+        /// which die is wearing right now, not just which has worn the most
+        /// since power-on.
+        #[serde(default)]
+        per_die die_erases: Vec<u64>,
+        /// QoS scheduler: host reads that started earlier than FIFO dispatch
+        /// would have allowed (jumped pending posted work, or suspended an
+        /// in-flight erase).
+        #[serde(default)]
+        counter reads_promoted: u64,
+        /// QoS scheduler: erase-suspend commands issued so a host read could
+        /// cut through an in-flight erase pulse.
+        #[serde(default)]
+        counter erase_suspends: u64,
+        /// Posted-read completions the host abandoned via `forget` — retired
+        /// from the completion horizon without ever being polled.
+        #[serde(default)]
+        counter forgotten_reads: u64,
+        /// Posted reads surfaced to the queue whose completions have been
+        /// neither polled nor forgotten yet (a gauge, not a counter; nonzero
+        /// only while completions are in flight).
+        #[serde(default)]
+        gauge posted_reads_outstanding: u64,
+        /// Utilization of the busiest die in parts-per-million of elapsed
+        /// simulated time (gauge, computed at snapshot time).
+        #[serde(default)]
+        gauge die_util_ppm_max: u64,
+        /// Utilization of the busiest channel bus in parts-per-million of
+        /// elapsed simulated time (gauge, computed at snapshot time).
+        #[serde(default)]
+        gauge chan_util_ppm_max: u64,
+    }
 }
 
 impl ControllerStats {
@@ -86,46 +93,6 @@ impl ControllerStats {
     /// stripe (or the GC victim policy) is concentrating erases.
     pub fn wear_spread(&self) -> u64 {
         self.max_die_erases - self.min_die_erases
-    }
-
-    /// Counters accumulated since `prev` — the window attribution a
-    /// multi-tenant harness needs to charge scheduler activity (queue
-    /// waits, NCQ stalls, promotions) to the tenant that ran between two
-    /// snapshots. Gauges and whole-device extrema (`max_queue_depth`,
-    /// `max_die_erases`/`min_die_erases`, `posted_reads_outstanding`)
-    /// keep their current values: they describe device state, not flow.
-    pub fn delta_since(&self, prev: &ControllerStats) -> ControllerStats {
-        ControllerStats {
-            commands: self.commands - prev.commands,
-            reads: self.reads - prev.reads,
-            posted_reads: self.posted_reads - prev.posted_reads,
-            programs: self.programs - prev.programs,
-            erases: self.erases - prev.erases,
-            queue_wait_ns: self.queue_wait_ns - prev.queue_wait_ns,
-            bus_busy_ns: self.bus_busy_ns - prev.bus_busy_ns,
-            max_queue_depth: self.max_queue_depth,
-            sync_points: self.sync_points - prev.sync_points,
-            backpressure_stalls: self.backpressure_stalls - prev.backpressure_stalls,
-            backpressure_wait_ns: self.backpressure_wait_ns - prev.backpressure_wait_ns,
-            max_die_erases: self.max_die_erases,
-            min_die_erases: self.min_die_erases,
-            die_erases: self
-                .die_erases
-                .iter()
-                .enumerate()
-                .map(|(die, &now)| {
-                    // A `prev` snapshot from before the vector existed (or
-                    // from a smaller device) contributes zero, not underflow.
-                    now.saturating_sub(prev.die_erases.get(die).copied().unwrap_or(0))
-                })
-                .collect(),
-            reads_promoted: self.reads_promoted - prev.reads_promoted,
-            erase_suspends: self.erase_suspends - prev.erase_suspends,
-            forgotten_reads: self.forgotten_reads - prev.forgotten_reads,
-            posted_reads_outstanding: self.posted_reads_outstanding,
-            die_util_ppm_max: self.die_util_ppm_max,
-            chan_util_ppm_max: self.chan_util_ppm_max,
-        }
     }
 
     /// Busiest-die utilization as a fraction of elapsed simulated time.

@@ -1155,7 +1155,7 @@ impl<C: Nand> BlockDevice for Ftl<C> {
     }
 
     fn device_stats(&self) -> DeviceStats {
-        self.queue.fold_into(self.stats)
+        self.stats.merged(&self.queue.stats)
     }
 
     fn flash_stats(&self) -> FlashStats {
@@ -1311,15 +1311,15 @@ impl<C: Nand> IoQueue for Ftl<C> {
     }
 
     fn note_readahead_hit(&mut self) {
-        self.queue.readahead_hits += 1;
+        self.queue.stats.readahead_hits += 1;
     }
 
     fn note_wal_stripe_write(&mut self) {
-        self.queue.wal_stripe_writes += 1;
+        self.queue.stats.wal_stripe_writes += 1;
     }
 
     fn note_wal_stripe_reclaimed(&mut self) {
-        self.queue.wal_stripes_reclaimed += 1;
+        self.queue.stats.wal_stripes_reclaimed += 1;
     }
 }
 

@@ -118,29 +118,19 @@ pub struct IoCompletion {
 }
 
 /// Token allocation, completion buffering and the queued-path counters
-/// shared by every native [`IoQueue`] implementation. The counters are
-/// folded into [`DeviceStats`] by `device_stats()` so hosts see them
-/// through the ordinary stats surface.
+/// shared by every native [`IoQueue`] implementation. `device_stats()`
+/// merges [`SubmissionState::stats`] into the device's own counters so
+/// hosts see them through the ordinary stats surface.
 #[derive(Debug, Default)]
 pub struct SubmissionState {
     next: u64,
     done: HashMap<u64, IoCompletion>,
-    /// `ReadV` submissions spanning more than one page.
-    pub vectored_reads: u64,
-    /// `WriteV` submissions spanning more than one page.
-    pub vectored_writes: u64,
-    /// Host-attributed: buffer-pool fetches served from a read-ahead
-    /// completion ([`IoQueue::note_readahead_hit`]).
-    pub readahead_hits: u64,
-    /// Host-attributed: WAL group-commit flushes submitted as one
-    /// multi-page vector ([`IoQueue::note_wal_stripe_write`]).
-    pub wal_stripe_writes: u64,
-    /// `WriteDeltaV` submissions spanning more than one member — the
-    /// evict path's batched delta appends.
-    pub vectored_deltas: u64,
-    /// Host-attributed: sealed WAL pages trimmed by a checkpoint
-    /// ([`IoQueue::note_wal_stripe_reclaimed`]).
-    pub wal_stripes_reclaimed: u64,
+    /// The queued-path counters: `vectored_reads`, `vectored_writes` and
+    /// `vectored_deltas` (ticked by [`SubmissionState::count_request`]),
+    /// plus the host-attributed `readahead_hits`, `wal_stripe_writes` and
+    /// `wal_stripes_reclaimed` ([`IoQueue::note_readahead_hit`] and
+    /// friends). Every other field stays zero.
+    pub stats: DeviceStats,
 }
 
 impl SubmissionState {
@@ -204,23 +194,12 @@ impl SubmissionState {
     pub fn count_request(&mut self, req: &IoRequest) {
         match req {
             IoRequest::ReadV(lbas) | IoRequest::HighPriorityReadV(lbas) if lbas.len() > 1 => {
-                self.vectored_reads += 1
+                self.stats.vectored_reads += 1
             }
-            IoRequest::WriteV(pages) if pages.len() > 1 => self.vectored_writes += 1,
-            IoRequest::WriteDeltaV(members) if members.len() > 1 => self.vectored_deltas += 1,
+            IoRequest::WriteV(pages) if pages.len() > 1 => self.stats.vectored_writes += 1,
+            IoRequest::WriteDeltaV(members) if members.len() > 1 => self.stats.vectored_deltas += 1,
             _ => {}
         }
-    }
-
-    /// Overlay the queued-path counters onto a stats snapshot.
-    pub fn fold_into(&self, mut stats: DeviceStats) -> DeviceStats {
-        stats.vectored_reads += self.vectored_reads;
-        stats.vectored_writes += self.vectored_writes;
-        stats.readahead_hits += self.readahead_hits;
-        stats.wal_stripe_writes += self.wal_stripe_writes;
-        stats.vectored_deltas += self.vectored_deltas;
-        stats.wal_stripes_reclaimed += self.wal_stripes_reclaimed;
-        stats
     }
 }
 
@@ -453,12 +432,13 @@ mod tests {
         s.count_request(&IoRequest::ReadV(vec![1]));
         s.count_request(&IoRequest::WriteV(vec![(1, vec![]), (2, vec![])]));
         s.count_request(&IoRequest::Trim(3));
-        s.readahead_hits = 7;
-        s.wal_stripe_writes = 2;
-        let folded = s.fold_into(DeviceStats {
+        s.stats.readahead_hits = 7;
+        s.stats.wal_stripe_writes = 2;
+        let folded = DeviceStats {
             vectored_reads: 1,
             ..Default::default()
-        });
+        }
+        .merged(&s.stats);
         assert_eq!(folded.vectored_reads, 2, "overlay adds to the snapshot");
         assert_eq!(folded.vectored_writes, 1);
         assert_eq!(folded.readahead_hits, 7);

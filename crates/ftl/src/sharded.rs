@@ -374,10 +374,10 @@ impl BlockDevice for ShardedFtl {
     }
 
     fn device_stats(&self) -> DeviceStats {
-        let merged = self.shards.iter().fold(DeviceStats::default(), |acc, s| {
-            acc.merged(&lock(s).device_stats())
-        });
-        lock(&self.queue).fold_into(merged)
+        let queued = lock(&self.queue).stats;
+        self.shards
+            .iter()
+            .fold(queued, |acc, s| acc.merged(&lock(s).device_stats()))
     }
 
     fn flash_stats(&self) -> FlashStats {
@@ -603,17 +603,17 @@ impl ShardedFtl {
 
     /// [`IoQueue::note_readahead_hit`] through `&self`.
     pub fn note_readahead_hit_shared(&self) {
-        lock(&self.queue).readahead_hits += 1;
+        lock(&self.queue).stats.readahead_hits += 1;
     }
 
     /// [`IoQueue::note_wal_stripe_write`] through `&self`.
     pub fn note_wal_stripe_write_shared(&self) {
-        lock(&self.queue).wal_stripe_writes += 1;
+        lock(&self.queue).stats.wal_stripe_writes += 1;
     }
 
     /// [`IoQueue::note_wal_stripe_reclaimed`] through `&self`.
     pub fn note_wal_stripe_reclaimed_shared(&self) {
-        lock(&self.queue).wal_stripes_reclaimed += 1;
+        lock(&self.queue).stats.wal_stripes_reclaimed += 1;
     }
 
     /// Forget through `&self` (see [`IoQueue::forget`]).
@@ -650,15 +650,15 @@ impl IoQueue for ShardedFtl {
     }
 
     fn note_readahead_hit(&mut self) {
-        lock(&self.queue).readahead_hits += 1;
+        lock(&self.queue).stats.readahead_hits += 1;
     }
 
     fn note_wal_stripe_write(&mut self) {
-        lock(&self.queue).wal_stripe_writes += 1;
+        lock(&self.queue).stats.wal_stripe_writes += 1;
     }
 
     fn note_wal_stripe_reclaimed(&mut self) {
-        lock(&self.queue).wal_stripes_reclaimed += 1;
+        lock(&self.queue).stats.wal_stripes_reclaimed += 1;
     }
 }
 

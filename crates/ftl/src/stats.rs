@@ -8,65 +8,69 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Counters maintained by the translation layer (host-level view).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct DeviceStats {
-    /// Host page reads.
-    pub host_reads: u64,
-    /// Host full-page writes (both out-of-place and in-place-detected).
-    pub host_writes: u64,
-    /// Host `write_delta` commands (native IPA path).
-    pub host_write_deltas: u64,
-    /// Writes satisfied by re-programming the same physical page.
-    pub in_place_appends: u64,
-    /// Writes that allocated a fresh physical page.
-    pub out_of_place_writes: u64,
-    /// Out-of-place write pairs the plane-aware allocator completed as
-    /// one multi-plane program command (two host writes, one staircase).
-    pub multi_plane_pairs: u64,
-    /// Previously valid physical pages invalidated by host writes.
-    pub page_invalidations: u64,
-    /// Valid pages copied by the garbage collector.
-    pub gc_page_migrations: u64,
-    /// Blocks erased by the garbage collector.
-    pub gc_erases: u64,
-    /// Subset of `gc_erases` performed by background maintenance steps
-    /// (idle-die scheduled reclaim) rather than inline with a host write.
-    pub background_gc_erases: u64,
-    /// Payload bytes the host pushed to the device (whole pages for
-    /// `write`, delta bytes for `write_delta`) — the DBMS
-    /// write-amplification numerator of Figure 1.
-    pub bytes_host_written: u64,
-    /// Payload bytes returned to the host.
-    pub bytes_host_read: u64,
-    /// Bits repaired by ECC across all reads.
-    pub ecc_corrected_bits: u64,
-    /// Reads that failed ECC (data loss events).
-    pub uncorrectable_reads: u64,
-    /// Blocks recycled by static wear levelling.
-    pub wear_leveling_moves: u64,
-    /// Queued `ReadV` submissions spanning more than one page.
-    #[serde(default)]
-    pub vectored_reads: u64,
-    /// Queued `WriteV` submissions spanning more than one page.
-    #[serde(default)]
-    pub vectored_writes: u64,
-    /// Buffer-pool fetches served from a posted read-ahead completion
-    /// instead of a fresh synchronous device read.
-    #[serde(default)]
-    pub readahead_hits: u64,
-    /// WAL group-commit flushes submitted as one multi-page vector
-    /// (striping the log write across channels).
-    #[serde(default)]
-    pub wal_stripe_writes: u64,
-    /// Queued `WriteDeltaV` submissions spanning more than one member —
-    /// evictions batching their delta appends across dies.
-    #[serde(default)]
-    pub vectored_deltas: u64,
-    /// Sealed WAL log pages trimmed by a checkpoint — the log-space
-    /// reclamation that keeps the seal-on-flush stripe bounded.
-    #[serde(default)]
-    pub wal_stripes_reclaimed: u64,
+ipa_flash::counters! {
+    /// Counters maintained by the translation layer (host-level view).
+    /// `merged` aggregates the shards of a die-striped device, and a
+    /// device's queued-path counters, into one host-level view.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+    pub struct DeviceStats {
+        /// Host page reads.
+        counter host_reads: u64,
+        /// Host full-page writes (both out-of-place and in-place-detected).
+        counter host_writes: u64,
+        /// Host `write_delta` commands (native IPA path).
+        counter host_write_deltas: u64,
+        /// Writes satisfied by re-programming the same physical page.
+        counter in_place_appends: u64,
+        /// Writes that allocated a fresh physical page.
+        counter out_of_place_writes: u64,
+        /// Out-of-place write pairs the plane-aware allocator completed as
+        /// one multi-plane program command (two host writes, one staircase).
+        counter multi_plane_pairs: u64,
+        /// Previously valid physical pages invalidated by host writes.
+        counter page_invalidations: u64,
+        /// Valid pages copied by the garbage collector.
+        counter gc_page_migrations: u64,
+        /// Blocks erased by the garbage collector.
+        counter gc_erases: u64,
+        /// Subset of `gc_erases` performed by background maintenance steps
+        /// (idle-die scheduled reclaim) rather than inline with a host write.
+        counter background_gc_erases: u64,
+        /// Payload bytes the host pushed to the device (whole pages for
+        /// `write`, delta bytes for `write_delta`) — the DBMS
+        /// write-amplification numerator of Figure 1.
+        counter bytes_host_written: u64,
+        /// Payload bytes returned to the host.
+        counter bytes_host_read: u64,
+        /// Bits repaired by ECC across all reads.
+        counter ecc_corrected_bits: u64,
+        /// Reads that failed ECC (data loss events).
+        counter uncorrectable_reads: u64,
+        /// Blocks recycled by static wear levelling.
+        counter wear_leveling_moves: u64,
+        /// Queued `ReadV` submissions spanning more than one page.
+        #[serde(default)]
+        counter vectored_reads: u64,
+        /// Queued `WriteV` submissions spanning more than one page.
+        #[serde(default)]
+        counter vectored_writes: u64,
+        /// Buffer-pool fetches served from a posted read-ahead completion
+        /// instead of a fresh synchronous device read.
+        #[serde(default)]
+        counter readahead_hits: u64,
+        /// WAL group-commit flushes submitted as one multi-page vector
+        /// (striping the log write across channels).
+        #[serde(default)]
+        counter wal_stripe_writes: u64,
+        /// Queued `WriteDeltaV` submissions spanning more than one member —
+        /// evictions batching their delta appends across dies.
+        #[serde(default)]
+        counter vectored_deltas: u64,
+        /// Sealed WAL log pages trimmed by a checkpoint — the log-space
+        /// reclamation that keeps the seal-on-flush stripe bounded.
+        #[serde(default)]
+        counter wal_stripes_reclaimed: u64,
+    }
 }
 
 impl DeviceStats {
@@ -92,61 +96,6 @@ impl DeviceStats {
             self.in_place_appends,
             self.in_place_appends + self.out_of_place_writes,
         )
-    }
-
-    /// Element-wise sum — aggregates the shards of a die-striped device
-    /// into one host-level view.
-    pub fn merged(&self, other: &DeviceStats) -> DeviceStats {
-        DeviceStats {
-            host_reads: self.host_reads + other.host_reads,
-            host_writes: self.host_writes + other.host_writes,
-            host_write_deltas: self.host_write_deltas + other.host_write_deltas,
-            in_place_appends: self.in_place_appends + other.in_place_appends,
-            out_of_place_writes: self.out_of_place_writes + other.out_of_place_writes,
-            multi_plane_pairs: self.multi_plane_pairs + other.multi_plane_pairs,
-            page_invalidations: self.page_invalidations + other.page_invalidations,
-            gc_page_migrations: self.gc_page_migrations + other.gc_page_migrations,
-            gc_erases: self.gc_erases + other.gc_erases,
-            background_gc_erases: self.background_gc_erases + other.background_gc_erases,
-            bytes_host_written: self.bytes_host_written + other.bytes_host_written,
-            bytes_host_read: self.bytes_host_read + other.bytes_host_read,
-            ecc_corrected_bits: self.ecc_corrected_bits + other.ecc_corrected_bits,
-            uncorrectable_reads: self.uncorrectable_reads + other.uncorrectable_reads,
-            wear_leveling_moves: self.wear_leveling_moves + other.wear_leveling_moves,
-            vectored_reads: self.vectored_reads + other.vectored_reads,
-            vectored_writes: self.vectored_writes + other.vectored_writes,
-            readahead_hits: self.readahead_hits + other.readahead_hits,
-            wal_stripe_writes: self.wal_stripe_writes + other.wal_stripe_writes,
-            vectored_deltas: self.vectored_deltas + other.vectored_deltas,
-            wal_stripes_reclaimed: self.wal_stripes_reclaimed + other.wal_stripes_reclaimed,
-        }
-    }
-
-    /// Snapshot difference (`self` later than `earlier`).
-    pub fn delta_since(&self, earlier: &DeviceStats) -> DeviceStats {
-        DeviceStats {
-            host_reads: self.host_reads - earlier.host_reads,
-            host_writes: self.host_writes - earlier.host_writes,
-            host_write_deltas: self.host_write_deltas - earlier.host_write_deltas,
-            in_place_appends: self.in_place_appends - earlier.in_place_appends,
-            out_of_place_writes: self.out_of_place_writes - earlier.out_of_place_writes,
-            multi_plane_pairs: self.multi_plane_pairs - earlier.multi_plane_pairs,
-            page_invalidations: self.page_invalidations - earlier.page_invalidations,
-            gc_page_migrations: self.gc_page_migrations - earlier.gc_page_migrations,
-            gc_erases: self.gc_erases - earlier.gc_erases,
-            background_gc_erases: self.background_gc_erases - earlier.background_gc_erases,
-            bytes_host_written: self.bytes_host_written - earlier.bytes_host_written,
-            bytes_host_read: self.bytes_host_read - earlier.bytes_host_read,
-            ecc_corrected_bits: self.ecc_corrected_bits - earlier.ecc_corrected_bits,
-            uncorrectable_reads: self.uncorrectable_reads - earlier.uncorrectable_reads,
-            wear_leveling_moves: self.wear_leveling_moves - earlier.wear_leveling_moves,
-            vectored_reads: self.vectored_reads - earlier.vectored_reads,
-            vectored_writes: self.vectored_writes - earlier.vectored_writes,
-            readahead_hits: self.readahead_hits - earlier.readahead_hits,
-            wal_stripe_writes: self.wal_stripe_writes - earlier.wal_stripe_writes,
-            vectored_deltas: self.vectored_deltas - earlier.vectored_deltas,
-            wal_stripes_reclaimed: self.wal_stripes_reclaimed - earlier.wal_stripes_reclaimed,
-        }
     }
 }
 

@@ -222,7 +222,7 @@ impl BlockDevice for HeatDevice {
     /// the tier's host-facing traffic (absorbed writes/hits are host
     /// commands too), plus this layer's queued-path counters.
     fn device_stats(&self) -> DeviceStats {
-        let mut d = self.sub.fold_into(self.inner.device_stats());
+        let mut d = self.inner.device_stats().merged(&self.sub.stats);
         let t = lock_core(&self.core).tier.device_stats();
         d.host_reads += t.host_reads;
         d.host_writes += t.host_writes;

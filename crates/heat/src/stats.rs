@@ -3,39 +3,41 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// What the tracker, tier and shifter did. Counters unless noted;
-/// gauges are refreshed when the snapshot is taken.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HeatStats {
-    /// Full-page host writes observed by the tracker.
-    pub writes_seen: u64,
-    /// Host delta appends observed by the tracker.
-    pub deltas_seen: u64,
-    /// Hot full-page writes absorbed by the SLC tier.
-    pub hot_hits: u64,
-    /// Hot writes that found the tier full and spilled to the main
-    /// stripe.
-    pub hot_spills: u64,
-    /// Host reads served from the tier.
-    pub tier_read_hits: u64,
-    /// Delta appends applied as read-modify-writes of a tier-resident
-    /// image (the tier converts in-place appends into rewrites, so NOP
-    /// budgets never bind there).
-    pub tier_rmw_deltas: u64,
-    /// Pages destaged from the tier back to the main stripe.
-    pub destaged_pages: u64,
-    /// Hot/cold stripe-slot swaps executed ([`ipa_ftl::ShardedFtl::swap_stripe`]
-    /// returned `true`).
-    pub range_migrations: u64,
-    /// Proposed swaps the stripe refused (layout mismatch, identical
-    /// LBAs) — counted so a misconfigured pairing policy is visible.
-    pub migrations_skipped: u64,
-    /// Heat-counter halvings applied (tracker aging).
-    pub decays: u64,
-    /// Gauge: host pages resident in the tier right now.
-    pub tier_resident: u64,
-    /// Gauge: total tier page slots.
-    pub tier_slots: u64,
+ipa_flash::counters! {
+    /// What the tracker, tier and shifter did. Counters unless noted;
+    /// gauges are refreshed when the snapshot is taken.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct HeatStats {
+        /// Full-page host writes observed by the tracker.
+        counter writes_seen: u64,
+        /// Host delta appends observed by the tracker.
+        counter deltas_seen: u64,
+        /// Hot full-page writes absorbed by the SLC tier.
+        counter hot_hits: u64,
+        /// Hot writes that found the tier full and spilled to the main
+        /// stripe.
+        counter hot_spills: u64,
+        /// Host reads served from the tier.
+        counter tier_read_hits: u64,
+        /// Delta appends applied as read-modify-writes of a tier-resident
+        /// image (the tier converts in-place appends into rewrites, so NOP
+        /// budgets never bind there).
+        counter tier_rmw_deltas: u64,
+        /// Pages destaged from the tier back to the main stripe.
+        counter destaged_pages: u64,
+        /// Hot/cold stripe-slot swaps executed ([`ipa_ftl::ShardedFtl::swap_stripe`]
+        /// returned `true`).
+        counter range_migrations: u64,
+        /// Proposed swaps the stripe refused (layout mismatch, identical
+        /// LBAs) — counted so a misconfigured pairing policy is visible.
+        counter migrations_skipped: u64,
+        /// Heat-counter halvings applied (tracker aging).
+        counter decays: u64,
+        /// Gauge: host pages resident in the tier right now.
+        gauge tier_resident: u64,
+        /// Gauge: total tier page slots.
+        gauge tier_slots: u64,
+    }
 }
 
 impl HeatStats {

@@ -3,36 +3,38 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// What the scheduler did and what it observed while doing it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MaintStats {
-    /// Scheduler polls (one per host command on a maintained device).
-    pub polls: u64,
-    /// Background reclaim steps dispatched (migrations + erases).
-    pub steps: u64,
-    /// Valid pages copied by background steps.
-    pub migrations: u64,
-    /// Victim blocks erased by background steps (jobs completed).
-    pub erases: u64,
-    /// Dispatch opportunities skipped because the die was busy with host
-    /// work — the idle gate doing its job.
-    pub deferred_busy: u64,
-    /// Peak cross-die wear spread (max−min die erase count) observed at
-    /// poll time.
-    pub max_wear_spread: u64,
-    /// Controller-reported erase suspensions observed at poll time — how
-    /// often host reads interrupted a reclaim erase (QoS devices only;
-    /// stays 0 under FIFO scheduling).
-    #[serde(default)]
-    pub erase_suspends_seen: u64,
-    /// Wear-shifting steps dispatched: hot/cold LBA stripe swaps run via
-    /// `ReclaimJob::MigrateRange` (0 without a wear shifter installed).
-    #[serde(default)]
-    pub range_migrations: u64,
-    /// Hot-tier destage steps dispatched via `ReclaimJob::Destage`
-    /// (0 without a wear shifter installed).
-    #[serde(default)]
-    pub destages: u64,
+ipa_flash::counters! {
+    /// What the scheduler did and what it observed while doing it.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct MaintStats {
+        /// Scheduler polls (one per host command on a maintained device).
+        counter polls: u64,
+        /// Background reclaim steps dispatched (migrations + erases).
+        counter steps: u64,
+        /// Valid pages copied by background steps.
+        counter migrations: u64,
+        /// Victim blocks erased by background steps (jobs completed).
+        counter erases: u64,
+        /// Dispatch opportunities skipped because the die was busy with host
+        /// work — the idle gate doing its job.
+        counter deferred_busy: u64,
+        /// Peak cross-die wear spread (max−min die erase count) observed at
+        /// poll time.
+        gauge max_wear_spread: u64,
+        /// Controller-reported erase suspensions observed at poll time — how
+        /// often host reads interrupted a reclaim erase (QoS devices only;
+        /// stays 0 under FIFO scheduling).
+        #[serde(default)]
+        counter erase_suspends_seen: u64,
+        /// Wear-shifting steps dispatched: hot/cold LBA stripe swaps run via
+        /// `ReclaimJob::MigrateRange` (0 without a wear shifter installed).
+        #[serde(default)]
+        counter range_migrations: u64,
+        /// Hot-tier destage steps dispatched via `ReclaimJob::Destage`
+        /// (0 without a wear shifter installed).
+        #[serde(default)]
+        counter destages: u64,
+    }
 }
 
 impl MaintStats {

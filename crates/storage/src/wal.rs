@@ -256,8 +256,6 @@ pub struct Wal {
     next_batch_seq: u64,
     /// Records appended since creation.
     pub records_appended: u64,
-    /// Flushes whose batch went out as one multi-page vector.
-    pub stripe_flushes: u64,
     /// Flushed log pages still holding live history, with the batch
     /// sequence of their last write — the checkpoint's trim list.
     live: Vec<(Lba, u64)>,
@@ -336,7 +334,6 @@ impl Wal {
             next_lsn: 0,
             next_batch_seq: 1,
             records_appended: 0,
-            stripe_flushes: 0,
             live: Vec::new(),
             stripes_reclaimed: 0,
         }
@@ -431,7 +428,6 @@ impl Wal {
         }
         if vectored {
             self.device.note_wal_stripe_write();
-            self.stripe_flushes += 1;
         }
         if self.seal_on_flush && self.cursor > 0 {
             // Write-once pages: the just-flushed image is final; later
@@ -657,11 +653,6 @@ impl Wal {
         }
     }
 
-    /// Flushes whose batch spanned more than one log page.
-    pub fn stripe_flushes(&self) -> u64 {
-        self.stripe_flushes
-    }
-
     /// Crash mid-flush: stamp the whole batch but persist only its first
     /// `keep` members, then lose the in-memory state — what a power cut
     /// during the vectored write leaves behind.
@@ -852,9 +843,11 @@ mod tests {
             wal.append(&upd(i + 1, 1, i)).unwrap();
         }
         wal.flush().unwrap();
-        assert_eq!(wal.stripe_flushes(), 1, "one multi-page batch");
         let d = wal.device_stats();
-        assert_eq!(d.wal_stripe_writes, 1, "counted on the log device");
+        assert_eq!(
+            d.wal_stripe_writes, 1,
+            "one multi-page batch, counted on the log device"
+        );
         assert!(
             d.vectored_writes >= 1,
             "the batch was submitted vectored: {d:?}"

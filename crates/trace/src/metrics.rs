@@ -1,12 +1,15 @@
 //! The unified metrics tree: every stats struct in the stack, one shape.
 //!
 //! A [`MetricsSnapshot`] is a list of named sections, each a list of
-//! named metrics tagged counter or gauge. The concrete builders live
-//! up-stack (e.g. `ipa_workloads::engine_metrics` walks an engine's
-//! pool/device/flash/controller/maint stats); this crate owns the
-//! *shape* so every layer — driver results, fleet soak rounds, the
-//! sweep binary — reports through the same structure, with windowed
-//! deltas and JSON in/out that behave uniformly.
+//! named metrics tagged counter or gauge. This crate owns the *shape* so
+//! every layer — driver results, fleet soak rounds, the sweep binary —
+//! reports through the same structure, with windowed deltas and JSON
+//! in/out that behave uniformly. The names and kinds come from the stats
+//! structs themselves: each layer declares its fields once with
+//! `ipa_flash::counters!`, tagged counter or gauge, and
+//! `ipa_workloads::metrics::section` turns such a struct into a section
+//! (`ipa_workloads::engine_metrics` walks an engine's device, flash,
+//! controller, maintenance and heat stats that way).
 
 use crate::json::{self, JsonValue};
 
@@ -115,6 +118,27 @@ impl MetricSection {
             .find(|m| m.name == name)
             .map(|m| m.value)
     }
+
+    /// The window between `earlier` and `self`: counters subtract
+    /// (saturating), gauges carry this section's value. Metrics absent
+    /// from `earlier` pass through unchanged.
+    pub fn delta_since(&self, earlier: &MetricSection) -> MetricSection {
+        let metrics = self
+            .metrics
+            .iter()
+            .map(|m| {
+                let value = match (m.kind, earlier.get(&m.name)) {
+                    (MetricKind::Counter, Some(prev)) => m.value.saturating_sub(prev),
+                    _ => m.value,
+                };
+                Metric { value, ..m.clone() }
+            })
+            .collect();
+        MetricSection {
+            name: self.name.clone(),
+            metrics,
+        }
+    }
 }
 
 /// A full snapshot of the stack's metrics at one simulated instant.
@@ -147,28 +171,22 @@ impl MetricsSnapshot {
         self.section(sec)?.get(name)
     }
 
-    /// The window between `earlier` and `self`: counters subtract
-    /// (saturating), gauges carry this snapshot's value. Sections or
-    /// metrics absent from `earlier` pass through unchanged.
+    /// The window between `earlier` and `self`, section by section (see
+    /// [`MetricSection::delta_since`]). Sections absent from `earlier`
+    /// pass through unchanged.
     pub fn delta_since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        let mut out = MetricsSnapshot::new(self.at_ns);
-        for sec in &self.sections {
-            let old = earlier.section(&sec.name);
-            let mut d = MetricSection::new(sec.name.clone());
-            for m in &sec.metrics {
-                let value = match (m.kind, old.and_then(|o| o.get(&m.name))) {
-                    (MetricKind::Counter, Some(prev)) => m.value.saturating_sub(prev),
-                    _ => m.value,
-                };
-                d.metrics.push(Metric {
-                    name: m.name.clone(),
-                    kind: m.kind,
-                    value,
-                });
-            }
-            out.push(d);
+        let sections = self
+            .sections
+            .iter()
+            .map(|sec| match earlier.section(&sec.name) {
+                Some(old) => sec.delta_since(old),
+                None => sec.clone(),
+            })
+            .collect();
+        MetricsSnapshot {
+            at_ns: self.at_ns,
+            sections,
         }
-        out
     }
 
     /// Serialize to a compact JSON document.

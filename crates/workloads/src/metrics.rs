@@ -1,18 +1,23 @@
 //! The concrete [`MetricsSnapshot`] builder: walk a live
 //! [`StorageEngine`] and report every layer's stats struct — pool,
-//! device, WAL device, raw flash, controller, maintenance — as one
+//! device, WAL device, raw flash, controller, maintenance, heat — as one
 //! serializable tree, with the derived gauges (hit rate, WAL backlog,
 //! utilization, wear spread, per-die busy fractions) computed in place.
 //!
-//! The shape lives in `ipa_trace::metrics`; this module owns the
-//! *vocabulary* — section and metric names — so the driver's
+//! The shape lives in `ipa_trace::metrics`. The vocabulary does not live
+//! here: the device, flash, controller, maintenance and heat sections are
+//! exported by [`section`] straight from each struct's
+//! [`ipa_flash::counters!`] declaration, which names every field once
+//! and tags it counter or gauge. This module adds only the section names,
+//! the engine and pool sections, and the derived gauges, so the driver's
 //! [`crate::RunResult`], the fleet soak and the sweep binary all emit
 //! snapshots that window (`delta_since`) and serialize identically.
 
+use ipa_flash::stats::{Counters, FieldKind};
 use ipa_heat::HeatDevice;
 use ipa_maint::MaintainedFtl;
 use ipa_storage::StorageEngine;
-use ipa_trace::{MetricSection, MetricsSnapshot};
+use ipa_trace::{Metric, MetricKind, MetricSection, MetricValue, MetricsSnapshot};
 
 use crate::driver::Driver;
 
@@ -28,8 +33,8 @@ use crate::driver::Driver;
 ///   log-space pressure the truncation path works against).
 /// * `flash` — raw chip counters summed over the data device's dies.
 /// * `controller` — scheduler counters plus utilization/wear/depth
-///   gauges and one `die{N}_busy` / `chan{N}_busy` fraction per die and
-///   channel.
+///   gauges, one `die{N}_erases` counter per die, and one `die{N}_busy` /
+///   `chan{N}_busy` fraction per die and channel.
 /// * `maint` — background-reclaim counters, when the device runs the
 ///   idle-die scheduler.
 /// * `heat` — heat-placement counters (tier traffic, destages, wear
@@ -71,60 +76,23 @@ pub fn engine_metrics(engine: &StorageEngine) -> MetricsSnapshot {
             ),
     );
 
-    snap.push(device_section("device", &stats.device));
+    snap.push(section("device", &stats.device));
     if let Some(w) = &stats.wal_device {
-        snap.push(device_section("wal_device", w).gauge(
+        snap.push(section("wal_device", w).gauge(
             "backlog_stripes",
             w.wal_stripe_writes.saturating_sub(w.wal_stripes_reclaimed),
         ));
     }
-
-    let f = stats.flash;
-    snap.push(
-        MetricSection::new("flash")
-            .counter("page_reads", f.page_reads)
-            .counter("page_programs", f.page_programs)
-            .counter("page_reprograms", f.page_reprograms)
-            .counter("cache_programs", f.cache_programs)
-            .counter("block_erases", f.block_erases)
-            .counter("multi_plane_programs", f.multi_plane_programs)
-            .counter("multi_plane_reads", f.multi_plane_reads)
-            .counter("multi_plane_erases", f.multi_plane_erases)
-            .counter("bytes_read", f.bytes_read)
-            .counter("bytes_written", f.bytes_written)
-            .counter("disturb_bits_injected", f.disturb_bits_injected)
-            .counter("busy_ns", f.busy_ns)
-            .counter("erase_suspends", f.erase_suspends),
-    );
+    snap.push(section("flash", &stats.flash));
 
     if let Some(ctrl) = Driver::controller_of(engine) {
         let c = ctrl.stats();
-        let mut sec = MetricSection::new("controller")
-            .counter("commands", c.commands)
-            .counter("reads", c.reads)
-            .counter("posted_reads", c.posted_reads)
-            .counter("programs", c.programs)
-            .counter("erases", c.erases)
-            .counter("queue_wait_ns", c.queue_wait_ns)
-            .counter("bus_busy_ns", c.bus_busy_ns)
-            .counter("sync_points", c.sync_points)
-            .counter("backpressure_stalls", c.backpressure_stalls)
-            .counter("backpressure_wait_ns", c.backpressure_wait_ns)
-            .counter("reads_promoted", c.reads_promoted)
-            .counter("erase_suspends", c.erase_suspends)
-            .counter("forgotten_reads", c.forgotten_reads)
-            .gauge("max_queue_depth", c.max_queue_depth as u64)
-            .gauge("posted_reads_outstanding", c.posted_reads_outstanding)
-            .gauge("max_die_erases", c.max_die_erases)
-            .gauge("min_die_erases", c.min_die_erases)
-            .gauge("wear_spread", c.wear_spread())
-            .gauge("die_util_ppm_max", c.die_util_ppm_max)
-            .gauge("chan_util_ppm_max", c.chan_util_ppm_max);
+        let mut sec = section("controller", &c).gauge("wear_spread", c.wear_spread());
         for die in 0..ctrl.dies() {
             sec = sec.gauge_f64(format!("die{die}_busy"), ctrl.die_busy_fraction(die));
         }
         for (die, &erases) in c.die_erases.iter().enumerate() {
-            sec = sec.gauge(format!("die{die}_erases"), erases);
+            sec = sec.counter(format!("die{die}_erases"), erases);
         }
         for ch in 0..ctrl.config().channels {
             sec = sec.gauge_f64(format!("chan{ch}_busy"), ctrl.channel_busy_fraction(ch));
@@ -141,39 +109,16 @@ pub fn engine_metrics(engine: &StorageEngine) -> MetricsSnapshot {
                 .map(HeatDevice::maint_stats)
         });
     if let Some(m) = maint {
-        snap.push(
-            MetricSection::new("maint")
-                .counter("polls", m.polls)
-                .counter("steps", m.steps)
-                .counter("migrations", m.migrations)
-                .counter("erases", m.erases)
-                .counter("range_migrations", m.range_migrations)
-                .counter("destages", m.destages)
-                .counter("deferred_busy", m.deferred_busy)
-                .counter("erase_suspends_seen", m.erase_suspends_seen)
-                .gauge("max_wear_spread", m.max_wear_spread),
-        );
+        snap.push(section("maint", &m));
     }
 
     if let Some(hd) = engine.device_as::<HeatDevice>() {
         let h = hd.heat_stats();
-        let tf = hd.tier_flash_stats();
+        let tier = hd.tier_flash_stats();
         snap.push(
-            MetricSection::new("heat")
-                .counter("writes_seen", h.writes_seen)
-                .counter("deltas_seen", h.deltas_seen)
-                .counter("hot_hits", h.hot_hits)
-                .counter("hot_spills", h.hot_spills)
-                .counter("tier_read_hits", h.tier_read_hits)
-                .counter("tier_rmw_deltas", h.tier_rmw_deltas)
-                .counter("destaged_pages", h.destaged_pages)
-                .counter("range_migrations", h.range_migrations)
-                .counter("migrations_skipped", h.migrations_skipped)
-                .counter("decays", h.decays)
-                .counter("tier_page_programs", tf.page_programs)
-                .counter("tier_block_erases", tf.block_erases)
-                .gauge("tier_resident", h.tier_resident)
-                .gauge("tier_slots", h.tier_slots)
+            section("heat", &h)
+                .counter("tier_page_programs", tier.page_programs)
+                .counter("tier_block_erases", tier.block_erases)
                 .gauge_f64("tier_occupancy", h.tier_occupancy()),
         );
     }
@@ -181,29 +126,21 @@ pub fn engine_metrics(engine: &StorageEngine) -> MetricsSnapshot {
     snap
 }
 
-fn device_section(name: &str, d: &ipa_ftl::DeviceStats) -> MetricSection {
-    MetricSection::new(name)
-        .counter("host_reads", d.host_reads)
-        .counter("host_writes", d.host_writes)
-        .counter("host_write_deltas", d.host_write_deltas)
-        .counter("in_place_appends", d.in_place_appends)
-        .counter("out_of_place_writes", d.out_of_place_writes)
-        .counter("multi_plane_pairs", d.multi_plane_pairs)
-        .counter("page_invalidations", d.page_invalidations)
-        .counter("gc_page_migrations", d.gc_page_migrations)
-        .counter("gc_erases", d.gc_erases)
-        .counter("background_gc_erases", d.background_gc_erases)
-        .counter("bytes_host_written", d.bytes_host_written)
-        .counter("bytes_host_read", d.bytes_host_read)
-        .counter("ecc_corrected_bits", d.ecc_corrected_bits)
-        .counter("uncorrectable_reads", d.uncorrectable_reads)
-        .counter("wear_leveling_moves", d.wear_leveling_moves)
-        .counter("vectored_reads", d.vectored_reads)
-        .counter("vectored_writes", d.vectored_writes)
-        .counter("vectored_deltas", d.vectored_deltas)
-        .counter("readahead_hits", d.readahead_hits)
-        .counter("wal_stripe_writes", d.wal_stripe_writes)
-        .counter("wal_stripes_reclaimed", d.wal_stripes_reclaimed)
+/// One section holding every scalar field of a stats struct declared
+/// with [`ipa_flash::counters!`], under the field's own name and kind.
+pub fn section(name: &str, stats: &impl Counters) -> MetricSection {
+    let mut sec = MetricSection::new(name);
+    stats.visit(|field, kind, value| {
+        sec.metrics.push(Metric {
+            name: field.into(),
+            kind: match kind {
+                FieldKind::Counter => MetricKind::Counter,
+                FieldKind::Gauge => MetricKind::Gauge,
+            },
+            value: MetricValue::U64(value),
+        })
+    });
+    sec
 }
 
 #[cfg(test)]
@@ -298,5 +235,49 @@ mod tests {
         let backlog = snap.get("wal_device.backlog_stripes").unwrap().as_u64();
         assert_eq!(backlog, writes.saturating_sub(reclaimed));
         assert!(writes > 0, "striped WAL must have written stripes");
+    }
+
+    #[test]
+    fn windowed_die_erases_match_the_controller_window() {
+        // Regression: per-die erase totals were exported as gauges, so a
+        // windowed snapshot reported each die's lifetime erases while
+        // `ControllerStats::delta_since` reported the window's.
+        let cfg = DriverConfig::quick();
+        let mut bench = build(WorkloadKind::TpcB, 1, 8 * 1024);
+        let mut engine = traditional()
+            .maintained(
+                Topology::new(2, 2, ipa_ftl::StripePolicy::RoundRobin),
+                MaintMode::background(Some(8)),
+            )
+            .engine(bench.as_ref(), &cfg)
+            .unwrap();
+        let ctrl = Driver::controller_of(&engine).unwrap();
+        let mut rng = StdRng::seed_from_u64(11);
+        bench.load(&mut engine, &mut rng).unwrap();
+        let mut run_until_die0_erases = |engine: &mut StorageEngine, past: u64| {
+            for _ in 0..50_000 {
+                if ctrl.stats().die_erases.first().copied().unwrap_or(0) > past {
+                    return;
+                }
+                bench.run_tx(engine, &mut rng).unwrap();
+            }
+            panic!("die 0 never erased past {past}");
+        };
+
+        run_until_die0_erases(&mut engine, 0);
+        let (snap_a, stats_a) = (engine_metrics(&engine), ctrl.stats());
+        run_until_die0_erases(&mut engine, stats_a.die_erases[0]);
+        let (snap_b, stats_b) = (engine_metrics(&engine), ctrl.stats());
+
+        let window = stats_b.delta_since(&stats_a).die_erases[0];
+        assert!(window > 0 && window < stats_b.die_erases[0]);
+        assert_eq!(
+            snap_b
+                .delta_since(&snap_a)
+                .get("controller.die0_erases")
+                .unwrap()
+                .as_u64(),
+            window
+        );
     }
 }
