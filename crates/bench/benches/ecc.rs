@@ -7,6 +7,27 @@ use ipa_flash::ecc::{check_chunk, check_region, encode_chunk, encode_region};
 use ipa_ftl::OobCodec;
 use ipa_storage::standard_layout;
 
+/// An 8 KB page with about 8 % of its bits set, the density of the
+/// workload pages perfbench samples (`flash.page_set_bit_frac` 0.07–0.09).
+/// The dense pattern pages below set half their bits.
+fn sparse_page() -> Vec<u8> {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    (0..8192)
+        .map(|_| {
+            (0..8).fold(0u8, |byte, bit| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                if (state >> 33) % 100 < 8 {
+                    byte | 1 << bit
+                } else {
+                    byte
+                }
+            })
+        })
+        .collect()
+}
+
 fn bench_chunks(c: &mut Criterion) {
     let data: Vec<u8> = (0..512).map(|i| (i * 31) as u8).collect();
     let cw = encode_chunk(&data);
@@ -39,6 +60,18 @@ fn bench_chunks(c: &mut Criterion) {
             |mut p| black_box(check_region(&mut p, &cws)),
         )
     });
+
+    let sparse = sparse_page();
+    let sparse_cws = encode_region(&sparse);
+    c.bench_function("ecc/encode 8KB sparse region", |b| {
+        b.iter(|| black_box(encode_region(&sparse)))
+    });
+    c.bench_function("ecc/check 8KB sparse region", |b| {
+        b.iter_with_setup(
+            || sparse.clone(),
+            |mut p| black_box(check_region(&mut p, &sparse_cws)),
+        )
+    });
 }
 
 fn bench_oob_codec(c: &mut Criterion) {
@@ -55,6 +88,19 @@ fn bench_oob_codec(c: &mut Criterion) {
         b.iter_with_setup(
             || page.clone(),
             |mut p| black_box(codec.verify(&mut p, &oob)),
+        )
+    });
+
+    let mut sparse = sparse_page();
+    layout.wipe_delta_area(&mut sparse);
+    let sparse_oob = codec.encode_oob(&sparse);
+    c.bench_function("oob/encode sparse page write", |b| {
+        b.iter(|| black_box(codec.encode_oob(&sparse)))
+    });
+    c.bench_function("oob/verify sparse page read", |b| {
+        b.iter_with_setup(
+            || sparse.clone(),
+            |mut p| black_box(codec.verify(&mut p, &sparse_oob)),
         )
     });
 }

@@ -260,7 +260,7 @@ impl FlashChip {
                 return Err(FlashError::NotErased { ppa });
             }
         }
-        self.program_raw(ppa, data, oob, data.len() + oob.len())
+        self.program_raw(ppa, 0, data, 0, oob)
     }
 
     /// In-place overwrite of a programmed page. Every bit transition must
@@ -270,8 +270,8 @@ impl FlashChip {
     pub fn reprogram_page(&mut self, ppa: Ppa, data: &[u8], oob: &[u8]) -> Result<()> {
         self.check_bounds(ppa)?;
         self.check_sizes(data, oob)?;
-        self.validate_overwrite(ppa, data, oob)?;
-        self.program_raw(ppa, data, oob, data.len() + oob.len())
+        self.validate_overwrite(ppa, 0, data, 0, oob)?;
+        self.program_raw(ppa, 0, data, 0, oob)
     }
 
     /// `write_delta` primitive: splice `bytes` at `data_off` (and
@@ -301,48 +301,38 @@ impl FlashChip {
                 what: "append OOB range",
             });
         }
-        let (mut data, mut oob) = {
-            let page = self.blocks[ppa.block as usize].page(ppa.page);
-            if page.is_erased() {
-                return Err(FlashError::NotErased { ppa });
-            }
-            (
-                page.data()
-                    .map(<[u8]>::to_vec)
-                    .unwrap_or_else(|| vec![0xFF; g.page_size]),
-                page.oob()
-                    .map(<[u8]>::to_vec)
-                    .unwrap_or_else(|| vec![0xFF; g.oob_size]),
-            )
-        };
-        data[data_off..data_off + bytes.len()].copy_from_slice(bytes);
-        oob[oob_off..oob_off + oob_bytes.len()].copy_from_slice(oob_bytes);
-        self.validate_overwrite(ppa, &data, &oob)?;
-        self.program_raw(ppa, &data, &oob, bytes.len() + oob_bytes.len())
+        self.validate_overwrite(ppa, data_off, bytes, oob_off, oob_bytes)?;
+        self.program_raw(ppa, data_off, bytes, oob_off, oob_bytes)
     }
 
-    /// Enforce the erase-before-overwrite relaxation: a re-program is legal
-    /// iff no bit goes `0 → 1`.
-    fn validate_overwrite(&self, ppa: Ppa, data: &[u8], oob: &[u8]) -> Result<()> {
+    /// Enforce the erase-before-overwrite relaxation: splicing `data` at
+    /// `data_off` and `oob` at `oob_off` into the programmed page (whole
+    /// images at 0 for a full re-program) is legal iff no bit goes
+    /// `0 → 1`. Only the spliced ranges can change, so only they are
+    /// compared.
+    fn validate_overwrite(
+        &self,
+        ppa: Ppa,
+        data_off: usize,
+        data: &[u8],
+        oob_off: usize,
+        oob: &[u8],
+    ) -> Result<()> {
         let page = self.blocks[ppa.block as usize].page(ppa.page);
         if page.is_erased() {
             return Err(FlashError::NotErased { ppa });
         }
-        if let Some(old) = page.data() {
-            if let Some(off) = first_illegal_byte(old, data) {
+        for (old, off, new, in_oob) in [
+            (page.data(), data_off, data, false),
+            (page.oob(), oob_off, oob, true),
+        ] {
+            if let Some(pos) =
+                old.and_then(|old| first_illegal_byte(&old[off..off + new.len()], new))
+            {
                 return Err(FlashError::IllegalOverwrite {
                     ppa,
-                    byte_offset: off,
-                    in_oob: false,
-                });
-            }
-        }
-        if let Some(old) = page.oob() {
-            if let Some(off) = first_illegal_byte(old, oob) {
-                return Err(FlashError::IllegalOverwrite {
-                    ppa,
-                    byte_offset: off,
-                    in_oob: true,
+                    byte_offset: off + pos,
+                    in_oob,
                 });
             }
         }
@@ -350,8 +340,15 @@ impl FlashChip {
     }
 
     /// Common single-page program path: NOP check, then the shared store
-    /// core, then one staircase + transfer of time.
-    fn program_raw(&mut self, ppa: Ppa, data: &[u8], oob: &[u8], transferred: usize) -> Result<()> {
+    /// core, then one staircase + transfer of the spliced bytes.
+    fn program_raw(
+        &mut self,
+        ppa: Ppa,
+        data_off: usize,
+        data: &[u8],
+        oob_off: usize,
+        oob: &[u8],
+    ) -> Result<()> {
         let nop = self.nop_limit(ppa.page);
         {
             let page = self.blocks[ppa.block as usize].page(ppa.page);
@@ -360,7 +357,8 @@ impl FlashChip {
             }
         }
 
-        let staircase = self.store_program(ppa, data, oob);
+        let transferred = data.len() + oob.len();
+        let staircase = self.store_program(ppa, data_off, data, oob_off, oob);
         let t = staircase + self.config.latency.transfer_ns(transferred);
         self.clock.advance_ns(t);
         self.stats.busy_ns += t;
@@ -368,20 +366,29 @@ impl FlashChip {
         Ok(())
     }
 
-    /// Time-free core of every program command: store the image, bump the
-    /// per-page program count and the program/reprogram counters, expose
-    /// the wordline to disturb noise. Whether this is a reprogram is read
-    /// off the page itself (programmed = reprogram), so single-page and
-    /// multi-plane paths cannot disagree. Returns this member's staircase
-    /// latency — the caller decides how staircases combine (alone for a
-    /// single command, `max` across planes for a multi-plane one).
-    fn store_program(&mut self, ppa: Ppa, data: &[u8], oob: &[u8]) -> u64 {
+    /// Time-free core of every program command: splice `data` at
+    /// `data_off` and `oob` at `oob_off` into the stored image (a full
+    /// program splices whole images at 0), bump the per-page program count
+    /// and the program/reprogram counters, expose the wordline to disturb
+    /// noise. Whether this is a reprogram is read off the page itself
+    /// (programmed = reprogram), so single-page and multi-plane paths
+    /// cannot disagree. Returns this member's staircase latency — the
+    /// caller decides how staircases combine (alone for a single command,
+    /// `max` across planes for a multi-plane one).
+    fn store_program(
+        &mut self,
+        ppa: Ppa,
+        data_off: usize,
+        data: &[u8],
+        oob_off: usize,
+        oob: &[u8],
+    ) -> u64 {
         let g = self.config.geometry;
         let is_reprogram = !self.blocks[ppa.block as usize].page(ppa.page).is_erased();
         {
             let page = self.blocks[ppa.block as usize].page_mut(ppa.page);
-            page.data_mut(g.page_size).copy_from_slice(data);
-            page.oob_mut(g.oob_size).copy_from_slice(oob);
+            page.data_mut(g.page_size)[data_off..data_off + data.len()].copy_from_slice(data);
+            page.oob_mut(g.oob_size)[oob_off..oob_off + oob.len()].copy_from_slice(oob);
             page.program_count += 1;
         }
         if is_reprogram {
@@ -462,14 +469,14 @@ impl FlashChip {
                 return Err(FlashError::NopExceeded { ppa: p.ppa, nop });
             }
             if !page.is_erased() {
-                self.validate_overwrite(p.ppa, p.data, p.oob)?;
+                self.validate_overwrite(p.ppa, 0, p.data, 0, p.oob)?;
             }
             total += p.data.len() + p.oob.len();
         }
 
         let mut staircase = 0u64;
         for p in pages {
-            staircase = staircase.max(self.store_program(p.ppa, p.data, p.oob));
+            staircase = staircase.max(self.store_program(p.ppa, 0, p.data, 0, p.oob));
         }
         let t = staircase + self.config.latency.transfer_ns(total);
         self.clock.advance_ns(t);
@@ -513,7 +520,7 @@ impl FlashChip {
                 return Err(FlashError::NopExceeded { ppa: p.ppa, nop });
             }
             if !page.is_erased() {
-                self.validate_overwrite(p.ppa, p.data, p.oob)?;
+                self.validate_overwrite(p.ppa, 0, p.data, 0, p.oob)?;
             }
             total += p.data.len() + p.oob.len();
         }
@@ -524,7 +531,7 @@ impl FlashChip {
             .collect();
         let mut t = xfer[0];
         for (i, p) in pages.iter().enumerate() {
-            let pulse = self.store_program(p.ppa, p.data, p.oob);
+            let pulse = self.store_program(p.ppa, 0, p.data, 0, p.oob);
             t += match xfer.get(i + 1) {
                 Some(&next) => pulse.max(next),
                 None => pulse,
@@ -925,6 +932,33 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn append_region_reports_the_oob_conflict_and_leaves_the_page_alone() {
+        let mut chip = quiet_chip();
+        let ppa = Ppa::new(1, 1);
+        let data = vec![0xFF; chip.geometry().page_size];
+        let mut oob = vec![0xFF; chip.geometry().oob_size];
+        oob[9] = 0x00;
+        chip.program_page(ppa, &data, &oob).unwrap();
+        let before = *chip.stats();
+        assert!(matches!(
+            chip.append_region(ppa, 100, &[0x00; 8], 8, &[0x00, 0xFF, 0x00, 0x00]),
+            Err(FlashError::IllegalOverwrite {
+                byte_offset: 9,
+                in_oob: true,
+                ..
+            })
+        ));
+        assert_eq!(chip.program_count(ppa).unwrap(), 1);
+        assert_eq!(chip.stats().bytes_written, before.bytes_written);
+        let img = chip.read_page(ppa).unwrap();
+        assert_eq!(
+            (img.data, img.oob),
+            (data, oob),
+            "rejected append is a no-op"
+        );
     }
 
     #[test]

@@ -16,6 +16,25 @@
 //! `ECC_initial`, leaving room in a 128 B OOB for per-delta-record
 //! codewords (`ECC_delta_rec 1..N`, one 4 B codeword each, delta records
 //! being far smaller than a chunk).
+//!
+//! # Word-parallel encoding
+//!
+//! Both fields are XORs of per-bit terms, so the encoder never visits a
+//! bit on its own. It reads the chunk as little-endian `u64` words, the
+//! tail zero-padded. Bit `t` of word `w` is bit position `64w + t`, so its
+//! locator term is `64w | (t + 1)` for `t < 63` and `64(w + 1)` for
+//! `t = 63`. Hence:
+//!
+//! * locator bit `j < 6` depends on `t` only: it is the parity of the XOR
+//!   of all words, masked to the bits whose `t + 1` has bit `j` set;
+//! * locator bit `6 + k` depends on the word index only: it is the parity
+//!   of the XOR of the words whose `w` has bit `k` set (bits `t < 63`) or
+//!   whose `w + 1` has (bit 63);
+//! * the overall parity is the parity of the XOR of all words.
+//!
+//! Those XOR folds cost a few operations per word, taken eight words at a
+//! time, plus fourteen parities per chunk — independent of how many bits
+//! are set. The codewords are bit-identical to the per-bit definition.
 
 use serde::{Deserialize, Serialize};
 
@@ -37,11 +56,12 @@ pub struct Codeword {
 impl Codeword {
     /// Serialize to the on-flash OOB representation.
     ///
-    /// An all-`0xFF` slot means "not yet written" on flash, so codewords are
-    /// stored bit-inverted: the encoding of real data never equals `0xFF^4`
-    /// padding... it *can*, so byte 3 is a marker (`0x00` = present). The
-    /// marker byte also satisfies the 1→0 programming rule: erased `0xFF`
-    /// slots can always be overwritten with any codeword.
+    /// An all-`0xFF` slot means "not yet written" on flash. Bytes 0–2 hold
+    /// the locator and parity bit-inverted, which alone could still come
+    /// out as `0xFF 0xFF 0xFF` (locator 0, parity 0); byte 3 is therefore a
+    /// marker, always `0x00`, so a written slot never reads as erased. Any
+    /// codeword can be programmed over an erased slot under the `1 → 0`
+    /// rule.
     pub fn to_bytes(self) -> [u8; CODEWORD_BYTES] {
         [
             !(self.locator as u8),
@@ -75,31 +95,118 @@ pub enum EccOutcome {
     Uncorrectable,
 }
 
+/// Bit 63 of a word: the one lane whose locator term, `64(w + 1)`, carries
+/// into the word index.
+const TOP: u64 = 1 << 63;
+
+/// Bytes folded per step: eight words, so a word's place in its group
+/// gives bits 0–2 of its index `w` and the group number the rest.
+const GROUP_BYTES: usize = 64;
+
+/// `LOW_LANES[j]`: the word bits `t < 63` whose locator term `t + 1` has
+/// bit `j` set. Bit 63's term `64(w + 1)` has no low bits.
+const LOW_LANES: [u64; 6] = {
+    let mut lanes = [0u64; 6];
+    let mut t = 0;
+    while t < 63 {
+        let mut j = 0;
+        while j < 6 {
+            if ((t + 1) >> j) & 1 == 1 {
+                lanes[j] |= 1 << t;
+            }
+            j += 1;
+        }
+        t += 1;
+    }
+    lanes
+};
+
+/// XOR folds of a chunk's little-endian words: everything its codeword
+/// depends on.
+#[derive(Default)]
+struct Folds {
+    /// XOR of every word.
+    all: u64,
+    /// `by_index[k]`: XOR of the words whose index `w` has bit `k` set.
+    /// Read on bits `t < 63`, whose locator term is `64w | (t + 1)`.
+    /// `by_index[6]` stays zero, as `w < 64`.
+    by_index: [u64; 7],
+    /// `by_next[k]`: XOR of the words whose `w + 1` has bit `k` set. Read
+    /// on bit 63, whose locator term is `64(w + 1)`.
+    by_next: [u64; 7],
+}
+
+/// All-ones if bit 0 of `bit` is set, else zero.
+#[inline(always)]
+fn select(bit: usize) -> u64 {
+    0u64.wrapping_sub(bit as u64 & 1)
+}
+
+#[inline(always)]
+fn parity(v: u64) -> u16 {
+    (v.count_ones() & 1) as u16
+}
+
+impl Folds {
+    /// Fold words `8g .. 8g + 8`.
+    #[inline(always)]
+    fn add_group(&mut self, g: usize, bytes: &[u8; GROUP_BYTES]) {
+        let x: [u64; 8] = std::array::from_fn(|i| {
+            u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().expect("8-byte word"))
+        });
+        let even = x[0] ^ x[2] ^ x[4] ^ x[6];
+        let odd = x[1] ^ x[3] ^ x[5] ^ x[7];
+        let sum = even ^ odd;
+        self.all ^= sum;
+        // Bits 0–2 of w = 8g + i are those of i ...
+        self.by_index[0] ^= odd;
+        self.by_index[1] ^= x[2] ^ x[3] ^ x[6] ^ x[7];
+        self.by_index[2] ^= x[4] ^ x[5] ^ x[6] ^ x[7];
+        // ... and of w + 1 those of i + 1, zero for the last word.
+        self.by_next[0] ^= even;
+        self.by_next[1] ^= x[1] ^ x[2] ^ x[5] ^ x[6];
+        self.by_next[2] ^= x[3] ^ x[4] ^ x[5] ^ x[6];
+        // The higher bits are those of g, except that the last word's
+        // w + 1 is 8(g + 1).
+        let head = sum ^ x[7];
+        for k in 0..4 {
+            self.by_index[3 + k] ^= sum & select(g >> k);
+            self.by_next[3 + k] ^= (head & select(g >> k)) ^ (x[7] & select((g + 1) >> k));
+        }
+    }
+
+    fn codeword(&self) -> Codeword {
+        let mut locator = 0u16;
+        for (j, &lane) in LOW_LANES.iter().enumerate() {
+            locator |= parity(self.all & lane) << j;
+        }
+        for (k, (&index, &next)) in self.by_index.iter().zip(&self.by_next).enumerate() {
+            locator |= parity((index & !TOP) | (next & TOP)) << (6 + k);
+        }
+        Codeword {
+            locator,
+            parity: parity(self.all) as u8,
+        }
+    }
+}
+
 /// Compute the codeword for up to [`CHUNK`] bytes of data.
 ///
 /// Panics if `data` is longer than a chunk — callers split pages into
 /// chunks with [`encode_region`].
 pub fn encode_chunk(data: &[u8]) -> Codeword {
     assert!(data.len() <= CHUNK, "chunk too large: {}", data.len());
-    let mut locator: u16 = 0;
-    let mut ones: u32 = 0;
-    for (byte_idx, &b) in data.iter().enumerate() {
-        if b == 0 {
-            continue;
-        }
-        ones += b.count_ones();
-        let mut bits = b;
-        while bits != 0 {
-            let bit = bits.trailing_zeros() as usize;
-            let pos = byte_idx * 8 + bit;
-            locator ^= (pos + 1) as u16;
-            bits &= bits - 1;
-        }
+    let mut folds = Folds::default();
+    let (groups, tail) = data.as_chunks::<GROUP_BYTES>();
+    for (g, bytes) in groups.iter().enumerate() {
+        folds.add_group(g, bytes);
     }
-    Codeword {
-        locator,
-        parity: (ones & 1) as u8,
+    if !tail.is_empty() {
+        let mut padded = [0u8; GROUP_BYTES];
+        padded[..tail.len()].copy_from_slice(tail);
+        folds.add_group(groups.len(), &padded);
     }
+    folds.codeword()
 }
 
 /// Check one chunk against its codeword, correcting a single-bit error in
@@ -170,6 +277,31 @@ pub fn check_region(data: &mut [u8], codewords: &[Codeword]) -> Result<usize, us
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The codeword by definition, one loop turn per set bit: the oracle
+    /// the word-parallel kernel must match bit for bit.
+    fn encode_chunk_per_bit(data: &[u8]) -> Codeword {
+        assert!(data.len() <= CHUNK, "chunk too large: {}", data.len());
+        let mut locator: u16 = 0;
+        let mut ones: u32 = 0;
+        for (byte_idx, &b) in data.iter().enumerate() {
+            if b == 0 {
+                continue;
+            }
+            ones += b.count_ones();
+            let mut bits = b;
+            while bits != 0 {
+                let bit = bits.trailing_zeros() as usize;
+                let pos = byte_idx * 8 + bit;
+                locator ^= (pos + 1) as u16;
+                bits &= bits - 1;
+            }
+        }
+        Codeword {
+            locator,
+            parity: (ones & 1) as u8,
+        }
+    }
 
     #[test]
     fn clean_round_trip() {
@@ -252,6 +384,55 @@ mod tests {
         let cws = encode_region(&[]);
         assert!(cws.is_empty());
         assert_eq!(check_region(&mut [], &cws), Ok(0));
+    }
+
+    #[test]
+    fn every_single_flip_of_a_full_chunk_is_corrected() {
+        let data: Vec<u8> = (0..CHUNK).map(|i| (i * 37 + 11) as u8).collect();
+        let cw = encode_chunk(&data);
+        for pos in 0..CHUNK * 8 {
+            let mut corrupted = data.clone();
+            corrupted[pos / 8] ^= 1 << (pos % 8);
+            let seen = encode_chunk(&corrupted);
+            assert_eq!(seen.locator ^ cw.locator, (pos + 1) as u16, "bit {pos}");
+            assert_eq!(
+                check_chunk(&mut corrupted, cw),
+                EccOutcome::Corrected { bit: pos }
+            );
+            assert_eq!(corrupted, data, "bit {pos}");
+        }
+    }
+
+    /// A chunk of one of the shapes the word kernel must get right: dense
+    /// random, sparse (~8 % ones, like workload pages), all `0xFF`, bit 63
+    /// of every word, and bit 63 of a random subset of words.
+    fn shaped_chunk(shape: u8, seed: u64) -> Vec<u8> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        (0..CHUNK)
+            .map(|i| match shape {
+                0 => rng.gen(),
+                1 => (0..8).fold(0, |b, bit| b | u8::from(rng.gen_range(0..100) < 8) << bit),
+                2 => 0xFF,
+                3 => u8::from(i % 8 == 7) << 7,
+                _ => u8::from(i % 8 == 7 && rng.gen()) << 7,
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The word-parallel kernel equals the per-set-bit definition on
+        /// every prefix length `0..=CHUNK` of every input shape.
+        #[test]
+        fn word_kernel_matches_per_bit_oracle(shape in 0u8..5, seed in any::<u64>()) {
+            let data = shaped_chunk(shape, seed);
+            for len in 0..=CHUNK {
+                let (word, bit) = (encode_chunk(&data[..len]), encode_chunk_per_bit(&data[..len]));
+                prop_assert!(word == bit, "shape {} len {}: {:?} != {:?}", shape, len, word, bit);
+            }
+        }
     }
 
     proptest! {

@@ -747,18 +747,18 @@ impl<C: Nand> Ftl<C> {
             // the die busy but never stalls the host interface.
             let mut img = self.chip.copyback_read(src)?;
             // Scrub on the way: correct what ECC can, count what it fixed.
-            let codec = self.codec_for(lba);
-            match codec.verify(&mut img.data, &img.oob) {
+            // The source OOB moves unchanged: corrected data matches its
+            // codewords exactly, and an uncorrectable page keeps the
+            // codewords that let the host read report the loss. (A real
+            // controller would log a media error.) Re-encoding would bless
+            // the bad bits and turn disturbed erased record slots into
+            // records.
+            match self.codec_for(lba).verify(&mut img.data, &img.oob) {
                 Ok(o) => self.stats.ecc_corrected_bits += o.corrected_bits,
-                Err(_) => {
-                    // Migrate the raw bits; the host read will report the
-                    // loss. (A real controller would log a media error.)
-                    self.stats.uncorrectable_reads += 1;
-                }
+                Err(_) => self.stats.uncorrectable_reads += 1,
             }
             let dst = self.allocate()?;
-            let oob = codec.encode_oob(&img.data);
-            self.chip.program_page(dst, &img.data, &oob)?;
+            self.chip.program_page(dst, &img.data, &img.oob)?;
             self.blocks[victim as usize].owner[page as usize] = None;
             self.blocks[victim as usize].valid -= 1;
             self.blocks[dst.block as usize].owner[dst.page as usize] = Some(lba);

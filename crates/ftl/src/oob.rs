@@ -17,10 +17,11 @@
 //!
 //! Without an IPA layout the whole page is covered by `ECC_initial`.
 
+use std::ops::Range;
+
 use ipa_core::PageLayout;
 use ipa_flash::ecc::{
-    check_region, codewords_for, encode_chunk, encode_region, Codeword, EccOutcome, CHUNK,
-    CODEWORD_BYTES,
+    check_chunk, codewords_for, encode_chunk, Codeword, EccOutcome, CHUNK, CODEWORD_BYTES,
 };
 
 /// Per-page-format OOB codec.
@@ -94,41 +95,51 @@ impl OobCodec {
         (self.initial_codewords + i as usize) * CODEWORD_BYTES
     }
 
-    /// The bytes `ECC_initial` covers, concatenated (everything except the
-    /// delta-record area).
-    fn initial_region(&self, page: &[u8]) -> Vec<u8> {
-        match &self.layout {
-            Some(l) => {
-                let r = l.delta_area_range();
-                let mut v = Vec::with_capacity(self.page_size - l.delta_area_len());
-                v.extend_from_slice(&page[..r.start]);
-                v.extend_from_slice(&page[r.end..]);
-                v
-            }
-            None => page.to_vec(),
+    /// Where `ECC_initial` chunk `i` lives in the page: its bytes are
+    /// `page[a]` followed by `page[b]`. `b` is empty except for the one
+    /// chunk that straddles the delta-record area, whose head lies before
+    /// the area and whose tail after it.
+    fn initial_chunk(&self, i: usize) -> (Range<usize>, Range<usize>) {
+        let gap = match &self.layout {
+            Some(l) => l.delta_area_range(),
+            None => self.page_size..self.page_size,
+        };
+        let start = i * CHUNK;
+        let end = (start + CHUNK).min(self.page_size - gap.len());
+        let after = |off: usize| off + gap.len();
+        if end <= gap.start {
+            (start..end, 0..0)
+        } else if start >= gap.start {
+            (after(start)..after(end), 0..0)
+        } else {
+            (start..gap.start, gap.end..after(end))
         }
     }
 
-    /// Scatter a (possibly corrected) initial region back into the page.
-    fn restore_initial_region(&self, page: &mut [u8], region: &[u8]) {
-        match &self.layout {
-            Some(l) => {
-                let r = l.delta_area_range();
-                page[..r.start].copy_from_slice(&region[..r.start]);
-                page[r.end..].copy_from_slice(&region[r.start..]);
-            }
-            None => page.copy_from_slice(region),
-        }
+    /// The straddling chunk's two parts, copied into one buffer; returns
+    /// the buffer and the chunk's length.
+    fn gather(page: &[u8], a: &Range<usize>, b: &Range<usize>) -> ([u8; CHUNK], usize) {
+        let mut buf = [0u8; CHUNK];
+        let n = a.len() + b.len();
+        buf[..a.len()].copy_from_slice(&page[a.clone()]);
+        buf[a.len()..n].copy_from_slice(&page[b.clone()]);
+        (buf, n)
     }
 
     /// Build the full OOB image for an out-of-place page write: initial
     /// codewords, record codewords for any records already present in the
-    /// image (GC migrations carry them along), erased elsewhere.
+    /// image (migration batches carry them along), erased elsewhere.
     pub fn encode_oob(&self, page: &[u8]) -> Vec<u8> {
         debug_assert_eq!(page.len(), self.page_size);
         let mut oob = vec![0xFFu8; self.oob_size];
-        let region = self.initial_region(page);
-        for (i, cw) in encode_region(&region).into_iter().enumerate() {
+        for i in 0..self.initial_codewords {
+            let cw = match self.initial_chunk(i) {
+                (a, b) if b.is_empty() => encode_chunk(&page[a]),
+                (a, b) => {
+                    let (buf, n) = Self::gather(page, &a, &b);
+                    encode_chunk(&buf[..n])
+                }
+            };
             let off = i * CODEWORD_BYTES;
             oob[off..off + CODEWORD_BYTES].copy_from_slice(&cw.to_bytes());
         }
@@ -157,53 +168,62 @@ impl OobCodec {
         &page[off..off + l.record_size()]
     }
 
+    /// The codeword slot at OOB byte `off`.
+    fn slot(oob: &[u8], off: usize) -> &[u8; CODEWORD_BYTES] {
+        oob[off..off + CODEWORD_BYTES]
+            .try_into()
+            .expect("slot width")
+    }
+
+    /// Bits one chunk check corrected, or the loss it found.
+    fn tally(outcome: EccOutcome) -> Result<u64, UncorrectableError> {
+        match outcome {
+            EccOutcome::Clean => Ok(0),
+            EccOutcome::Corrected { .. } => Ok(1),
+            EccOutcome::Uncorrectable => Err(UncorrectableError),
+        }
+    }
+
     /// Verify a page image against its OOB, correcting single-bit errors
-    /// in place.
+    /// in place. On `Err` the page may already hold the corrections made
+    /// to chunks checked before the loss was found.
     pub fn verify(&self, page: &mut [u8], oob: &[u8]) -> Result<VerifyOutcome, UncorrectableError> {
         debug_assert_eq!(page.len(), self.page_size);
         debug_assert_eq!(oob.len(), self.oob_size);
         let mut corrected = 0u64;
 
-        // 1. Initial region.
-        let mut region = self.initial_region(page);
-        let mut codewords = Vec::with_capacity(self.initial_codewords);
+        // 1. Initial region, checked and corrected where it lies.
         for i in 0..self.initial_codewords {
-            let off = i * CODEWORD_BYTES;
-            let slot: &[u8; CODEWORD_BYTES] = oob[off..off + CODEWORD_BYTES]
-                .try_into()
-                .expect("slot width");
-            match Codeword::from_bytes(slot) {
-                Some(cw) => codewords.push(cw),
-                // Erased codeword for a programmed page: treat as data
-                // loss (write path always writes ECC_initial).
-                None => return Err(UncorrectableError),
-            }
+            // An erased codeword for a programmed page is data loss: the
+            // write path always writes ECC_initial.
+            let cw = Codeword::from_bytes(Self::slot(oob, i * CODEWORD_BYTES))
+                .ok_or(UncorrectableError)?;
+            let outcome = match self.initial_chunk(i) {
+                (a, b) if b.is_empty() => check_chunk(&mut page[a], cw),
+                (a, b) => {
+                    let (mut buf, n) = Self::gather(page, &a, &b);
+                    let outcome = check_chunk(&mut buf[..n], cw);
+                    if let EccOutcome::Corrected { .. } = outcome {
+                        page[a.clone()].copy_from_slice(&buf[..a.len()]);
+                        page[b].copy_from_slice(&buf[a.len()..n]);
+                    }
+                    outcome
+                }
+            };
+            corrected += Self::tally(outcome)?;
         }
-        match check_region(&mut region, &codewords) {
-            Ok(n) => corrected += n as u64,
-            Err(_) => return Err(UncorrectableError),
-        }
-        self.restore_initial_region(page, &region);
 
         // 2. Delta records: verify exactly those slots whose OOB codeword
         //    was written. The OOB marker is authoritative — a disturbed
         //    control byte in the data area cannot fabricate a record.
         if let Some(l) = self.layout {
             for i in 0..l.scheme.n {
-                let off = self.record_oob_offset(i);
-                let slot: &[u8; CODEWORD_BYTES] = oob[off..off + CODEWORD_BYTES]
-                    .try_into()
-                    .expect("slot width");
-                let Some(cw) = Codeword::from_bytes(slot) else {
+                let Some(cw) = Codeword::from_bytes(Self::slot(oob, self.record_oob_offset(i)))
+                else {
                     continue;
                 };
                 let roff = l.record_offset(i);
-                let rec = &mut page[roff..roff + l.record_size()];
-                match ipa_flash::ecc::check_chunk(rec, cw) {
-                    EccOutcome::Clean => {}
-                    EccOutcome::Corrected { .. } => corrected += 1,
-                    EccOutcome::Uncorrectable => return Err(UncorrectableError),
-                }
+                corrected += Self::tally(check_chunk(&mut page[roff..roff + l.record_size()], cw))?;
             }
         }
         Ok(VerifyOutcome {
@@ -216,6 +236,9 @@ impl OobCodec {
 mod tests {
     use super::*;
     use ipa_core::{write_record_into, DeltaRecord, NmScheme};
+    use ipa_flash::ecc::{check_region, encode_region};
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn layout() -> PageLayout {
         PageLayout::new(2048, 24, 8, NmScheme::new(2, 4))
@@ -340,5 +363,114 @@ mod tests {
         // 2048 - 90 = 1958 bytes → 4 codewords → records start at 16.
         assert_eq!(c.record_oob_offset(0), 16);
         assert_eq!(c.record_oob_offset(1), 20);
+    }
+
+    /// The bytes `ECC_initial` covers, concatenated, and the delta-record
+    /// area they skip (empty without a layout).
+    fn initial_region_by_copy(c: &OobCodec, page: &[u8]) -> (Vec<u8>, Range<usize>) {
+        let gap = c
+            .layout
+            .map_or(c.page_size..c.page_size, |l| l.delta_area_range());
+        ([&page[..gap.start], &page[gap.end..]].concat(), gap)
+    }
+
+    /// The copy-based verify the codec used to run: gather `ECC_initial`'s
+    /// bytes into a fresh buffer, check them as one region, scatter them
+    /// back; records are checked in place. The oracle for the in-place
+    /// [`OobCodec::verify`].
+    fn verify_by_copy(
+        c: &OobCodec,
+        page: &mut [u8],
+        oob: &[u8],
+    ) -> Result<u64, UncorrectableError> {
+        let (mut region, gap) = initial_region_by_copy(c, page);
+        let cws = (0..c.initial_codewords)
+            .map(|i| Codeword::from_bytes(OobCodec::slot(oob, i * CODEWORD_BYTES)))
+            .collect::<Option<Vec<_>>>()
+            .ok_or(UncorrectableError)?;
+        let mut corrected = check_region(&mut region, &cws).map_err(|_| UncorrectableError)? as u64;
+        page[..gap.start].copy_from_slice(&region[..gap.start]);
+        page[gap.end..].copy_from_slice(&region[gap.start..]);
+        if let Some(l) = c.layout {
+            for i in 0..l.scheme.n {
+                if let Some(cw) = Codeword::from_bytes(OobCodec::slot(oob, c.record_oob_offset(i)))
+                {
+                    let roff = l.record_offset(i);
+                    let rec = &mut page[roff..roff + l.record_size()];
+                    corrected += OobCodec::tally(check_chunk(rec, cw))?;
+                }
+            }
+        }
+        Ok(corrected)
+    }
+
+    /// A codec whose delta-record area sits wherever `footer` puts it:
+    /// most footers make one `ECC_initial` chunk straddle the area, some
+    /// align it to a chunk boundary, `None` covers the whole page.
+    fn any_codec(page_size: usize, footer: Option<usize>, n: u16) -> OobCodec {
+        let layout = footer.map(|f| PageLayout::new(page_size, 24, f, NmScheme::new(n, 4)));
+        OobCodec::new(page_size, 128, layout)
+    }
+
+    proptest! {
+        /// In-place encode and verify agree with the copy-based ones:
+        /// same codewords; same outcome, corrected page and corrected-bit
+        /// count under up to three flips, half of them aimed at the chunk
+        /// that straddles the delta-record area.
+        #[test]
+        fn in_place_verify_matches_copy_based(
+            big in any::<bool>(),
+            footer in 0usize..460,
+            plain in any::<bool>(),
+            n in 1u16..5,
+            records in 0u16..5,
+            flips in 0usize..4,
+            seed in any::<u64>(),
+        ) {
+            let page_size = if big { 4096 } else { 2048 };
+            // Leave the layout some body bytes.
+            prop_assume!(24 + footer + n as usize * (37 + footer) < page_size);
+            let c = any_codec(page_size, (!plain).then_some(footer), n);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut page: Vec<u8> = (0..page_size).map(|_| rng.gen()).collect();
+            if let Some(l) = c.layout {
+                l.wipe_delta_area(&mut page);
+            }
+            let mut oob = c.encode_oob(&page);
+            let (region, _) = initial_region_by_copy(&c, &page);
+            for (i, cw) in encode_region(&region).into_iter().enumerate() {
+                prop_assert_eq!(Codeword::from_bytes(OobCodec::slot(&oob, i * CODEWORD_BYTES)), Some(cw));
+            }
+            if let Some(l) = c.layout {
+                for i in 0..records.min(n) {
+                    let meta = vec![i as u8; l.meta_len()];
+                    let rec = DeltaRecord::new(vec![(30 + i, rng.gen())], meta, l.scheme);
+                    write_record_into(&mut page, &l, i, &rec);
+                    let cw = c.encode_record(c.record_slice(&page, i));
+                    let off = c.record_oob_offset(i);
+                    oob[off..off + CODEWORD_BYTES].copy_from_slice(&cw);
+                }
+            }
+            let straddle = (0..c.initial_codewords)
+                .map(|i| c.initial_chunk(i))
+                .find(|(_, b)| !b.is_empty());
+            for _ in 0..flips {
+                let byte = match &straddle {
+                    Some((a, b)) if rng.gen() => {
+                        let k = rng.gen_range(0..a.len() + b.len());
+                        if k < a.len() { a.start + k } else { b.start + k - a.len() }
+                    }
+                    _ => rng.gen_range(0..page_size),
+                };
+                page[byte] ^= 1u8 << rng.gen_range(0..8);
+            }
+            let (mut in_place, mut by_copy) = (page.clone(), page);
+            let got = c.verify(&mut in_place, &oob).map(|o| o.corrected_bits);
+            let want = verify_by_copy(&c, &mut by_copy, &oob);
+            prop_assert_eq!(got, want);
+            if want.is_ok() {
+                prop_assert_eq!(in_place, by_copy);
+            }
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! unsafe appends.
 
 use in_place_appends::core::DeltaRecord;
-use in_place_appends::flash::FlashChip;
+use in_place_appends::flash::{FlashChip, FlashStats, Nand, PageImage, Ppa};
 use in_place_appends::ftl::{BlockDevice, Ftl, FtlConfig, FtlError, NativeFlashDevice};
 use in_place_appends::prelude::*;
 use in_place_appends::storage::standard_layout;
@@ -187,4 +187,135 @@ fn table_region_exhaustion_is_a_clean_error() {
     }
     e.commit(tx).unwrap();
     assert!(inserted > 100, "two 8 KB pages hold well over 100 rows");
+}
+
+/// A chip whose first firmware-internal (GC) read finds two flipped bits
+/// in the first ECC chunk of its page — more than SECDED can repair.
+struct FlipsOnFirstMigration {
+    chip: FlashChip,
+    armed: bool,
+}
+
+impl Nand for FlipsOnFirstMigration {
+    fn geometry(&self) -> Geometry {
+        *self.chip.geometry()
+    }
+    fn mode(&self) -> FlashMode {
+        self.chip.mode()
+    }
+    fn flash_stats(&self) -> FlashStats {
+        *self.chip.stats()
+    }
+    fn elapsed_ns(&self) -> u64 {
+        self.chip.elapsed_ns()
+    }
+    fn nop_limit(&self, page: u32) -> u16 {
+        self.chip.nop_limit(page)
+    }
+    fn is_erased(&self, ppa: Ppa) -> in_place_appends::flash::Result<bool> {
+        self.chip.is_erased(ppa)
+    }
+    fn program_count(&self, ppa: Ppa) -> in_place_appends::flash::Result<u16> {
+        self.chip.program_count(ppa)
+    }
+    fn erase_count(&self, block: u32) -> in_place_appends::flash::Result<u32> {
+        self.chip.erase_count(block)
+    }
+    fn max_erase_count(&self) -> u32 {
+        self.chip.max_erase_count()
+    }
+    fn is_bad(&self, block: u32) -> bool {
+        self.chip.is_bad(block)
+    }
+    fn peek_data(&self, ppa: Ppa) -> Option<Vec<u8>> {
+        self.chip.peek_data(ppa).map(<[u8]>::to_vec)
+    }
+    fn peek_oob(&self, ppa: Ppa) -> Option<Vec<u8>> {
+        self.chip.peek_oob(ppa).map(<[u8]>::to_vec)
+    }
+    fn read_page(&mut self, ppa: Ppa) -> in_place_appends::flash::Result<PageImage> {
+        self.chip.read_page(ppa)
+    }
+    fn copyback_read(&mut self, ppa: Ppa) -> in_place_appends::flash::Result<PageImage> {
+        let mut img = self.chip.read_page(ppa)?;
+        if std::mem::take(&mut self.armed) {
+            img.data[10] ^= 0x01;
+            img.data[11] ^= 0x01;
+        }
+        Ok(img)
+    }
+    fn program_page(
+        &mut self,
+        ppa: Ppa,
+        data: &[u8],
+        oob: &[u8],
+    ) -> in_place_appends::flash::Result<()> {
+        self.chip.program_page(ppa, data, oob)
+    }
+    fn reprogram_page(
+        &mut self,
+        ppa: Ppa,
+        data: &[u8],
+        oob: &[u8],
+    ) -> in_place_appends::flash::Result<()> {
+        self.chip.reprogram_page(ppa, data, oob)
+    }
+    fn append_region(
+        &mut self,
+        ppa: Ppa,
+        data_off: usize,
+        bytes: &[u8],
+        oob_off: usize,
+        oob_bytes: &[u8],
+    ) -> in_place_appends::flash::Result<()> {
+        self.chip
+            .append_region(ppa, data_off, bytes, oob_off, oob_bytes)
+    }
+    fn erase_block(&mut self, block: u32) -> in_place_appends::flash::Result<()> {
+        self.chip.erase_block(block)
+    }
+}
+
+#[test]
+fn gc_migration_keeps_an_uncorrectable_page_uncorrectable() {
+    // GC moves a page it cannot correct. The host read of that LBA must
+    // report the loss, not return the damaged bits under fresh codewords.
+    let chip = FlipsOnFirstMigration {
+        chip: FlashChip::new(quiet_slc(24, 8, 0)),
+        armed: true,
+    };
+    let mut ftl = Ftl::new(chip, FtlConfig::traditional());
+    let lbas = ftl.capacity_pages();
+    let page = |lba: u64, round: u8| vec![(lba as u8).wrapping_mul(29) ^ round; 2048];
+    let mut round = vec![0u8; lbas as usize];
+    for lba in 0..lbas {
+        ftl.write(lba, &page(lba, 0)).unwrap();
+    }
+    // Scattered overwrites leave valid pages in every victim, so GC soon
+    // has to migrate one.
+    for i in 0..2_000u64 {
+        if ftl.device_stats().gc_page_migrations > 0 {
+            break;
+        }
+        let lba = i * 37 % lbas;
+        round[lba as usize] = round[lba as usize].wrapping_add(1);
+        ftl.write(lba, &page(lba, round[lba as usize])).unwrap();
+    }
+    assert!(ftl.device_stats().gc_page_migrations > 0, "GC never ran");
+    assert_eq!(ftl.device_stats().uncorrectable_reads, 1, "GC saw the loss");
+
+    let mut buf = vec![0u8; 2048];
+    let mut lost = 0;
+    for lba in 0..lbas {
+        match ftl.read(lba, &mut buf) {
+            Ok(()) => assert_eq!(
+                buf,
+                page(lba, round[lba as usize]),
+                "LBA {lba} silently wrong"
+            ),
+            Err(FtlError::Uncorrectable { .. }) => lost += 1,
+            Err(e) => panic!("unexpected: {e}"),
+        }
+    }
+    assert_eq!(lost, 1, "exactly the damaged page reads as lost");
 }
