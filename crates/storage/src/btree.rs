@@ -7,9 +7,14 @@
 //! the N×M scheme cannot absorb — but nothing prevents placing an index in
 //! an IPA region to measure that (the `nm_sweep` bench does).
 //!
-//! Mutations read the node, rewrite it in memory, and write back only the
-//! changed byte span, so WAL records and change tracking stay proportional
-//! to the actual modification.
+//! Searches ([`lookup`], [`range`] and the descent every operation starts
+//! with) read keys in place: each node is binary-searched directly in the
+//! buffered page bytes, and only the keys a probe touches are read. Only
+//! mutations decode a node — they read it, rewrite it in memory, and
+//! write back only the changed byte span, so WAL records and change
+//! tracking stay proportional to the actual modification.
+
+use std::ops::ControlFlow;
 
 use crate::buffer::{BufferPool, PageId};
 use crate::catalog::TableInfo;
@@ -42,7 +47,110 @@ enum Node {
     },
 }
 
+/// A node page read in place: accessors decode one field at a time, so a
+/// search reads only the keys its binary search probes.
+#[derive(Clone, Copy)]
+struct NodeView<'a> {
+    /// The page body after the standard page header.
+    body: &'a [u8],
+}
+
+impl<'a> NodeView<'a> {
+    fn new(page: &'a [u8]) -> Self {
+        NodeView {
+            body: &page[HEADER_LEN..],
+        }
+    }
+
+    fn is_leaf(self) -> bool {
+        self.body[0] == 0
+    }
+
+    fn count(self) -> usize {
+        u16::from_le_bytes(self.body[2..4].try_into().unwrap()) as usize
+    }
+
+    fn u64_at(self, off: usize) -> u64 {
+        u64::from_le_bytes(self.body[off..off + 8].try_into().unwrap())
+    }
+
+    /// Byte offset of entry `i` within the body.
+    fn entry(self, i: usize) -> usize {
+        let width = if self.is_leaf() {
+            LEAF_ENTRY
+        } else {
+            INT_ENTRY
+        };
+        NODE_HEADER + i * width
+    }
+
+    fn key(self, i: usize) -> u64 {
+        self.u64_at(self.entry(i))
+    }
+
+    /// Number of leading keys for which `pred` holds (`pred` must hold
+    /// for a prefix of the sorted keys), by binary search.
+    fn partition_point(self, pred: impl Fn(u64) -> bool) -> usize {
+        let (mut lo, mut hi) = (0, self.count());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if pred(self.key(mid)) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// Internal node: child `i` (0 is the leftmost child).
+    fn child(self, i: usize) -> PageId {
+        match i {
+            0 => self.u64_at(4),
+            _ => self.u64_at(self.entry(i - 1) + 8),
+        }
+    }
+
+    /// Internal node: the child that owns `key` — the last separator
+    /// ≤ `key` decides.
+    fn child_for(self, key: u64) -> PageId {
+        self.child(self.partition_point(|k| k <= key))
+    }
+
+    /// Leaf: the rid of entry `i`.
+    fn rid(self, i: usize) -> Rid {
+        let off = self.entry(i) + 8;
+        Rid::from_bytes(self.body[off..off + 10].try_into().unwrap())
+    }
+
+    /// Leaf: the right sibling.
+    fn next(self) -> Option<PageId> {
+        let ptr = self.u64_at(4);
+        (ptr != NIL).then_some(ptr)
+    }
+
+    /// Leaf: the rid stored under `key`.
+    fn find(self, key: u64) -> Option<Rid> {
+        let i = self.partition_point(|k| k < key);
+        (i < self.count() && self.key(i) == key).then(|| self.rid(i))
+    }
+
+    /// Leaf: call `f` for each entry with `lo ≤ key ≤ hi`, in key order.
+    /// Returns the leaf to continue with, or `None` once the range ends.
+    fn visit(self, lo: u64, hi: u64, f: &mut impl FnMut(u64, Rid)) -> Option<PageId> {
+        for i in self.partition_point(|k| k < lo)..self.count() {
+            let k = self.key(i);
+            if k > hi {
+                return None;
+            }
+            f(k, self.rid(i));
+        }
+        self.next()
+    }
+}
+
 impl Node {
+    /// Decode a whole node (mutation paths only).
     fn parse(buf: &[u8]) -> Node {
         let b = &buf[HEADER_LEN..];
         let leaf = b[0] == 0;
@@ -201,20 +309,35 @@ pub fn create(
     Ok(())
 }
 
-/// Descend to the leaf that owns `key`, returning the path of internal
-/// pages (root first) and the leaf page id.
-fn descend(pool: &mut BufferPool, root: PageId, key: u64) -> Result<(Vec<PageId>, PageId)> {
-    let mut path = Vec::new();
+/// Descend to the leaf that owns `key`, searching each node in place, and
+/// run `at_leaf` over the leaf while it is in hand. Returns the leaf page
+/// id and `at_leaf`'s result; `path`, if given, receives the internal
+/// pages passed through (root first).
+fn descend<R>(
+    pool: &mut BufferPool,
+    root: PageId,
+    key: u64,
+    mut path: Option<&mut Vec<PageId>>,
+    at_leaf: impl FnOnce(&[u8]) -> R,
+) -> Result<(PageId, R)> {
+    let mut at_leaf = Some(at_leaf);
     let mut pid = root;
     loop {
-        let node = read_node(pool, pid)?;
-        match node {
-            Node::Leaf { .. } => return Ok((path, pid)),
-            Node::Internal { keys, children } => {
-                path.push(pid);
-                // Last separator ≤ key decides the child.
-                let idx = keys.partition_point(|&k| k <= key);
-                pid = children[idx];
+        let step = pool.with_page(pid, |b| {
+            let node = NodeView::new(b);
+            if node.is_leaf() {
+                ControlFlow::Break(at_leaf.take().expect("one leaf per descent")(b))
+            } else {
+                ControlFlow::Continue(node.child_for(key))
+            }
+        })?;
+        match step {
+            ControlFlow::Break(r) => return Ok((pid, r)),
+            ControlFlow::Continue(child) => {
+                if let Some(path) = path.as_deref_mut() {
+                    path.push(pid);
+                }
+                pid = child;
             }
         }
     }
@@ -225,11 +348,8 @@ pub fn lookup(pool: &mut BufferPool, table: &TableInfo, key: u64) -> Result<Opti
     let Some(root) = table.root else {
         return Ok(None);
     };
-    let (_, leaf) = descend(pool, root, key)?;
-    let Node::Leaf { keys, rids, .. } = read_node(pool, leaf)? else {
-        unreachable!("descend returns a leaf");
-    };
-    Ok(keys.binary_search(&key).ok().map(|i| rids[i]))
+    let (_, rid) = descend(pool, root, key, None, |b| NodeView::new(b).find(key))?;
+    Ok(rid)
 }
 
 /// Insert a key; duplicate keys are rejected (primary-key semantics).
@@ -242,14 +362,15 @@ pub fn insert(
     mut capture: Option<&mut Vec<WriteOp>>,
 ) -> Result<()> {
     let root = table.root.expect("index not created");
-    let (path, leaf_pid) = descend(pool, root, key)?;
+    let mut path = Vec::new();
+    let (leaf_pid, leaf) = descend(pool, root, key, Some(&mut path), Node::parse)?;
     let Node::Leaf {
         mut keys,
         mut rids,
         next,
-    } = read_node(pool, leaf_pid)?
+    } = leaf
     else {
-        unreachable!()
+        unreachable!("descend ends at a leaf")
     };
     let pos = match keys.binary_search(&key) {
         Ok(_) => return Err(StorageError::DuplicateKey(key)),
@@ -388,30 +509,29 @@ pub fn delete(
     let Some(root) = table.root else {
         return Ok(false);
     };
-    let (_, leaf_pid) = descend(pool, root, key)?;
-    let Node::Leaf {
+    // A miss is answered in place; only a hit decodes the leaf.
+    let (leaf_pid, leaf) = descend(pool, root, key, None, |b| {
+        NodeView::new(b).find(key).map(|_| Node::parse(b))
+    })?;
+    let Some(Node::Leaf {
         mut keys,
         mut rids,
         next,
-    } = read_node(pool, leaf_pid)?
+    }) = leaf
     else {
-        unreachable!()
+        return Ok(false);
     };
-    match keys.binary_search(&key) {
-        Ok(i) => {
-            keys.remove(i);
-            rids.remove(i);
-            write_node(
-                pool,
-                leaf_pid,
-                &Node::Leaf { keys, rids, next },
-                lsn,
-                capture,
-            )?;
-            Ok(true)
-        }
-        Err(_) => Ok(false),
-    }
+    let i = keys.binary_search(&key).expect("found in place");
+    keys.remove(i);
+    rids.remove(i);
+    write_node(
+        pool,
+        leaf_pid,
+        &Node::Leaf { keys, rids, next },
+        lsn,
+        capture,
+    )?;
+    Ok(true)
 }
 
 /// Visit `(key, rid)` pairs with `lo ≤ key ≤ hi`, in key order.
@@ -425,24 +545,13 @@ pub fn range(
     let Some(root) = table.root else {
         return Ok(());
     };
-    let (_, mut leaf_pid) = descend(pool, root, lo)?;
-    loop {
-        let Node::Leaf { keys, rids, next } = read_node(pool, leaf_pid)? else {
-            unreachable!()
-        };
-        for (k, r) in keys.iter().zip(&rids) {
-            if *k > hi {
-                return Ok(());
-            }
-            if *k >= lo {
-                f(*k, *r);
-            }
-        }
-        match next {
-            Some(n) => leaf_pid = n,
-            None => return Ok(()),
-        }
+    let (_, mut next) = descend(pool, root, lo, None, |b| {
+        NodeView::new(b).visit(lo, hi, &mut f)
+    })?;
+    while let Some(pid) = next {
+        next = pool.with_page(pid, |b| NodeView::new(b).visit(lo, hi, &mut f))?;
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -453,6 +562,192 @@ mod tests {
     use ipa_core::NmScheme;
     use ipa_flash::{DeviceConfig, DisturbRates, FlashChip, FlashMode, Geometry};
     use ipa_ftl::{Ftl, FtlConfig, WriteStrategy};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// The decode-based search the in-place paths replaced, kept as their
+    /// oracle: every node on the path is decoded whole, and the leaf is
+    /// read once by the descent and again by the search.
+    mod decoded {
+        use super::*;
+
+        pub fn descend(
+            pool: &mut BufferPool,
+            root: PageId,
+            key: u64,
+        ) -> Result<(Vec<PageId>, PageId)> {
+            let mut path = Vec::new();
+            let mut pid = root;
+            loop {
+                let node = read_node(pool, pid)?;
+                match node {
+                    Node::Leaf { .. } => return Ok((path, pid)),
+                    Node::Internal { keys, children } => {
+                        path.push(pid);
+                        let idx = keys.partition_point(|&k| k <= key);
+                        pid = children[idx];
+                    }
+                }
+            }
+        }
+
+        pub fn lookup(pool: &mut BufferPool, table: &TableInfo, key: u64) -> Result<Option<Rid>> {
+            let Some(root) = table.root else {
+                return Ok(None);
+            };
+            let (_, leaf) = descend(pool, root, key)?;
+            let Node::Leaf { keys, rids, .. } = read_node(pool, leaf)? else {
+                unreachable!("descend returns a leaf");
+            };
+            Ok(keys.binary_search(&key).ok().map(|i| rids[i]))
+        }
+
+        pub fn range(
+            pool: &mut BufferPool,
+            table: &TableInfo,
+            lo: u64,
+            hi: u64,
+        ) -> Result<Vec<(u64, Rid)>> {
+            let mut out = Vec::new();
+            let Some(root) = table.root else {
+                return Ok(out);
+            };
+            let (_, mut leaf_pid) = descend(pool, root, lo)?;
+            loop {
+                let Node::Leaf { keys, rids, next } = read_node(pool, leaf_pid)? else {
+                    unreachable!()
+                };
+                for (k, r) in keys.iter().zip(&rids) {
+                    if *k > hi {
+                        return Ok(out);
+                    }
+                    if *k >= lo {
+                        out.push((*k, *r));
+                    }
+                }
+                match next {
+                    Some(n) => leaf_pid = n,
+                    None => return Ok(out),
+                }
+            }
+        }
+
+        /// Every separator key of the tree, and the tree's height.
+        pub fn separators(pool: &mut BufferPool, root: PageId) -> (Vec<u64>, usize) {
+            let mut seps = Vec::new();
+            let mut level = vec![root];
+            let mut height = 1;
+            loop {
+                let mut below = Vec::new();
+                for pid in level {
+                    if let Node::Internal { keys, children } = read_node(pool, pid).unwrap() {
+                        seps.extend(keys);
+                        below.extend(children);
+                    }
+                }
+                if below.is_empty() {
+                    return (seps, height);
+                }
+                height += 1;
+                level = below;
+            }
+        }
+    }
+
+    /// In-place `lookup`, `descend` and `range` against the decoded
+    /// oracle and the model, for every probe key and range.
+    fn check_searches(
+        p: &mut BufferPool,
+        t: &TableInfo,
+        model: &BTreeMap<u64, Rid>,
+        keys: &[u64],
+        ranges: &[(u64, u64)],
+    ) -> std::result::Result<(), TestCaseError> {
+        for &key in keys {
+            // Each comparison carries the key so a failure names it.
+            let found = (key, lookup(p, t, key).unwrap());
+            prop_assert_eq!(found, (key, decoded::lookup(p, t, key).unwrap()));
+            prop_assert_eq!(found, (key, model.get(&key).copied()));
+            if let Some(root) = t.root {
+                let mut path = Vec::new();
+                let (leaf, ()) = descend(p, root, key, Some(&mut path), |_| ()).unwrap();
+                prop_assert_eq!(
+                    (key, (path, leaf)),
+                    (key, decoded::descend(p, root, key).unwrap())
+                );
+            }
+        }
+        for &(lo, hi) in ranges {
+            let mut seen = Vec::new();
+            range(p, t, lo, hi, |k, r| seen.push((k, r))).unwrap();
+            prop_assert_eq!(
+                (lo, hi, &seen),
+                (lo, hi, &decoded::range(p, t, lo, hi).unwrap())
+            );
+            let expect: Vec<(u64, Rid)> = model.range(lo..=hi).map(|(&k, &r)| (k, r)).collect();
+            prop_assert_eq!((lo, hi, seen), (lo, hi, expect));
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// On 2 KiB pages, a tree of three or more levels after random
+        /// inserts and deletes answers every in-place search exactly as
+        /// the decoded oracle and a `BTreeMap` model do: keys below the
+        /// first separator, equal to and next to every separator, above
+        /// the last one, random keys, and ranges — and so does the empty
+        /// tree it started as.
+        #[test]
+        fn in_place_search_matches_decoded_oracle_and_model(
+            prefill in 7_500usize..8_500,
+            gaps in proptest::collection::vec(1u64..5, 97),
+            churn in proptest::collection::vec((any::<bool>(), 0u64..25_000), 0..800),
+            probes in proptest::collection::vec(0u64..26_000, 64),
+            spans in proptest::collection::vec((0u64..26_000, 0u64..3_000), 8),
+        ) {
+            let mut p = pool();
+            let mut t = index(256);
+            create(&mut p, &mut t, 1, None).unwrap();
+            let mut model = BTreeMap::new();
+            check_searches(&mut p, &t, &model, &[0, 7, u64::MAX], &[(0, u64::MAX), (3, 9)])?;
+
+            // Ascending inserts split leaves in half, so this many keys
+            // need more leaves than one 2 KiB internal node can hold.
+            let mut key = 0;
+            for gap in gaps.iter().cycle().take(prefill) {
+                key += gap;
+                insert(&mut p, &mut t, key, rid_of(key), 2, None).unwrap();
+                model.insert(key, rid_of(key));
+            }
+            for (del, key) in churn {
+                if del {
+                    let existed = delete(&mut p, &t, key, 3, None).unwrap();
+                    prop_assert_eq!(existed, model.remove(&key).is_some());
+                } else {
+                    match insert(&mut p, &mut t, key, rid_of(key), 3, None) {
+                        Ok(()) => prop_assert!(model.insert(key, rid_of(key)).is_none()),
+                        Err(StorageError::DuplicateKey(_)) => prop_assert!(model.contains_key(&key)),
+                        Err(e) => return Err(TestCaseError::fail(format!("{e}"))),
+                    }
+                }
+            }
+
+            let (seps, height) = decoded::separators(&mut p, t.root.unwrap());
+            prop_assert!(height >= 3, "tree height {}", height);
+            let first = *seps.iter().min().unwrap();
+            let last = *model.keys().next_back().unwrap();
+            let mut keys = probes;
+            keys.extend([0, first - 1, last, last + 1, u64::MAX]);
+            for s in seps {
+                keys.extend([s - 1, s, s + 1]);
+            }
+            let mut ranges: Vec<(u64, u64)> = spans.iter().map(|&(lo, len)| (lo, lo + len)).collect();
+            ranges.extend([(0, u64::MAX), (0, first), (first, first), (last, u64::MAX)]);
+            check_searches(&mut p, &t, &model, &keys, &ranges)?;
+        }
+    }
 
     fn pool() -> BufferPool {
         let chip = FlashChip::new(

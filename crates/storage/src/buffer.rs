@@ -143,8 +143,8 @@ pub struct BufferPool {
     last_miss: Option<PageId>,
     /// Posted read-ahead vectors not yet polled.
     pending_prefetch: Vec<Prefetch>,
-    /// Polled read-ahead images awaiting consumption.
-    ready_prefetch: HashMap<PageId, Vec<u8>>,
+    /// Polled read-ahead images awaiting consumption, oldest first.
+    ready_prefetch: Vec<(PageId, Vec<u8>)>,
     stats: PoolStats,
 }
 
@@ -162,7 +162,7 @@ impl BufferPool {
             readahead: 0,
             last_miss: None,
             pending_prefetch: Vec::new(),
-            ready_prefetch: HashMap::new(),
+            ready_prefetch: Vec::new(),
             stats: PoolStats::default(),
         }
     }
@@ -448,7 +448,7 @@ impl BufferPool {
     /// vector's completion if it is still pending. Sibling members of the
     /// polled vector move to the ready set for their own consumption.
     fn claim_prefetch(&mut self, pid: PageId) -> Option<Vec<u8>> {
-        if let Some(img) = self.ready_prefetch.remove(&pid) {
+        if let Some(img) = self.take_ready(pid) {
             return Some(img);
         }
         let at = self
@@ -457,17 +457,22 @@ impl BufferPool {
             .position(|g| g.members.contains(&pid))?;
         let group = self.pending_prefetch.remove(at);
         let completion = self.device.poll(group.token)?;
-        for (member, img) in group.members.iter().zip(completion.data) {
-            self.ready_prefetch.insert(*member, img);
-        }
-        self.ready_prefetch.remove(&pid)
+        self.ready_prefetch
+            .extend(group.members.into_iter().zip(completion.data));
+        self.take_ready(pid)
+    }
+
+    /// Remove `pid`'s image from the ready set, if it is there.
+    fn take_ready(&mut self, pid: PageId) -> Option<Vec<u8>> {
+        let at = self.ready_prefetch.iter().position(|(p, _)| *p == pid)?;
+        Some(self.ready_prefetch.remove(at).1)
     }
 
     /// Forget any in-flight or ready prefetch of `pid` (and, for a
     /// pending vector, its whole group — correctness over thrift on this
     /// cold path).
     fn drop_prefetch(&mut self, pid: PageId) {
-        self.ready_prefetch.remove(&pid);
+        self.take_ready(pid);
         if let Some(at) = self
             .pending_prefetch
             .iter()
@@ -490,7 +495,7 @@ impl BufferPool {
                 *p < cap
                     && self.device.is_mapped(*p)
                     && !self.map.contains_key(p)
-                    && !self.ready_prefetch.contains_key(p)
+                    && !self.ready_prefetch.iter().any(|(r, _)| r == p)
                     && !self.pending_prefetch.iter().any(|g| g.members.contains(p))
             })
             .collect();
@@ -526,17 +531,11 @@ impl BufferPool {
             let group = self.pending_prefetch.remove(0);
             self.device.forget(group.token);
         }
-        // Evict only the overflow from the ready set — its images are
-        // already paid for in device time, so dropping all of them would
-        // make the scan re-read (and re-pay for) pages it owns.
-        while self.ready_prefetch.len() > budget {
-            let victim = *self
-                .ready_prefetch
-                .keys()
-                .next()
-                .expect("non-empty over budget");
-            self.ready_prefetch.remove(&victim);
-        }
+        // Evict only the overflow from the ready set, oldest first — its
+        // images are already paid for in device time, so dropping all of
+        // them would make the scan re-read (and re-pay for) pages it owns.
+        let overflow = self.ready_prefetch.len().saturating_sub(budget);
+        self.ready_prefetch.drain(..overflow);
     }
 
     /// Abandon the whole read-ahead pipeline (cache drops, crashes).
@@ -1078,6 +1077,47 @@ mod tests {
             for pid in 0..12u64 {
                 p.with_page(pid, |b| assert_eq!(b[0], (pid % 251) as u8))
                     .unwrap();
+            }
+        }
+
+        #[test]
+        fn ready_set_overflow_sheds_the_same_images_every_run() {
+            // Eight short sequential bursts each leave three ready
+            // images (and one pending single) behind, so the ready set
+            // outgrows its budget of 4 × window and sheds images; then
+            // every burst's next four pages are fetched. Identical pools
+            // fed the identical stream must end identical: which images
+            // were shed decides ready hits versus fresh device reads.
+            let run = || {
+                let mut p = striped_pool(180, 4);
+                for burst in 0..8u64 {
+                    for pid in burst * 20..burst * 20 + 3 {
+                        p.with_page(pid, |_| ()).unwrap();
+                    }
+                }
+                // The oldest images went first: the 16 newest of the 24
+                // arrivals are left, in arrival order.
+                let arrivals: Vec<PageId> = (0..8u64)
+                    .flat_map(|burst| burst * 20 + 3..burst * 20 + 6)
+                    .collect();
+                let ready: Vec<PageId> = p.ready_prefetch.iter().map(|(pid, _)| *pid).collect();
+                assert_eq!(ready, arrivals[8..]);
+                for burst in 0..8u64 {
+                    for pid in burst * 20 + 3..burst * 20 + 7 {
+                        p.with_page(pid, |b| assert_eq!(b[0], (pid % 251) as u8))
+                            .unwrap();
+                    }
+                }
+                let s = *p.stats();
+                assert!(
+                    s.readahead_hits < s.readahead_issued,
+                    "the ready set overflowed and shed images: {s:?}"
+                );
+                (format!("{s:?}"), p.device().elapsed_ns())
+            };
+            let first = run();
+            for _ in 1..8 {
+                assert_eq!(run(), first);
             }
         }
 

@@ -83,16 +83,65 @@ const END_MARK: u32 = u32::MAX;
 /// Per-page batch trailer: `[batch_seq u64][batch_len u16][member_idx u16][crc u32]`.
 const TRAILER_LEN: usize = 16;
 
-/// CRC-32 (IEEE, reflected) — local implementation so the log format has
-/// no dependency footprint.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// Reflected IEEE CRC-32 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slice-by-8 tables: `CRC_TABLES[0][b]` is the CRC register after
+/// shifting byte `b` through eight bit steps, and `CRC_TABLES[j][b]` the
+/// same byte followed by `j` zero bytes, so eight table lookups advance
+/// the register over eight input bytes at once.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut j = 1;
+    while j < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[j - 1][b];
+            t[j][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        j += 1;
+    }
+    t
+}
+
+/// CRC-32 (IEEE, reflected) — local implementation so the log format has
+/// no dependency footprint. Table-driven slice-by-8 (Kounavis & Berry,
+/// ISCC 2005): each 8-byte step XORs the register into the first four
+/// bytes and combines eight lookups, one per byte, from
+/// [`CRC_TABLES`]; a tail shorter than 8 bytes goes a byte at a time.
+/// The values are those of the bit-serial definition.
+fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = !0u32;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes(w[..4].try_into().unwrap());
+        let hi = u32::from_le_bytes(w[4..].try_into().unwrap());
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -133,7 +182,74 @@ impl PageTrailer {
     }
 }
 
+/// Fixed record prefix: `[len u32][lsn u64][tx u64][tag u8]`.
+const RECORD_HEADER: usize = 21;
+
+/// Writes consecutive fields into a byte slice.
+struct RecordWriter<'a> {
+    out: &'a mut [u8],
+    at: usize,
+}
+
+impl RecordWriter<'_> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.out[self.at..self.at + bytes.len()].copy_from_slice(bytes);
+        self.at += bytes.len();
+    }
+}
+
 impl WalRecord {
+    /// Encoded size in bytes.
+    fn encoded_len(&self) -> usize {
+        RECORD_HEADER
+            + match &self.kind {
+                WalKind::Begin | WalKind::Commit | WalKind::Abort => 0,
+                WalKind::Update { ops, .. } => {
+                    10 + ops
+                        .iter()
+                        .map(|op| 4 + op.old.len() + op.new.len())
+                        .sum::<usize>()
+                }
+                WalKind::Checkpoint { .. } => 8,
+            }
+    }
+
+    /// Encode into `out`, which must be exactly [`Self::encoded_len`]
+    /// bytes long (the log page's free tail, so no record is staged in a
+    /// buffer of its own).
+    fn encode_into(&self, out: &mut [u8]) {
+        debug_assert_eq!(out.len(), self.encoded_len());
+        let len = out.len() as u32;
+        let mut w = RecordWriter { out, at: 0 };
+        w.put(&len.to_le_bytes());
+        w.put(&self.lsn.to_le_bytes());
+        w.put(&self.tx.to_le_bytes());
+        match &self.kind {
+            WalKind::Begin => w.put(&[TAG_BEGIN]),
+            WalKind::Commit => w.put(&[TAG_COMMIT]),
+            WalKind::Abort => w.put(&[TAG_ABORT]),
+            WalKind::Update { page, ops } => {
+                w.put(&[TAG_UPDATE]);
+                w.put(&page.to_le_bytes());
+                w.put(&(ops.len() as u16).to_le_bytes());
+                for op in ops {
+                    w.put(&op.offset.to_le_bytes());
+                    w.put(&(op.new.len() as u16).to_le_bytes());
+                    w.put(&op.old);
+                    w.put(&op.new);
+                }
+            }
+            WalKind::Checkpoint { upto_lsn } => {
+                w.put(&[TAG_CHECKPOINT]);
+                w.put(&upto_lsn.to_le_bytes());
+            }
+        }
+        debug_assert_eq!(w.at, w.out.len());
+    }
+
+    /// The allocating encoder [`Self::encode_into`] replaced, kept as its
+    /// oracle.
+    #[cfg(test)]
     fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
         out.extend_from_slice(&0u32.to_le_bytes()); // len patched below
@@ -175,7 +291,7 @@ impl WalRecord {
             return Ok(None);
         }
         let len = len as usize;
-        if len < 21 || len > buf.len() {
+        if len < RECORD_HEADER || len > buf.len() {
             return Err("record length out of bounds");
         }
         let lsn = u64::from_le_bytes(buf[4..12].try_into().unwrap());
@@ -353,20 +469,19 @@ impl Wal {
     /// Append a record to the in-memory log tail (durable after
     /// [`Wal::flush`]).
     pub fn append(&mut self, rec: &WalRecord) -> Result<()> {
-        let bytes = rec.encode();
+        let len = rec.encoded_len();
         // Records share the page with the end-marker reservation (4 B)
         // and the batch trailer stamped at flush time.
         let record_area = self.page_size - TRAILER_LEN;
         assert!(
-            bytes.len() + 4 <= record_area,
-            "log record ({} B) exceeds a log page",
-            bytes.len()
+            len + 4 <= record_area,
+            "log record ({len} B) exceeds a log page"
         );
-        if self.cursor + bytes.len() + 4 > record_area {
+        if self.cursor + len + 4 > record_area {
             self.seal_page()?;
         }
-        self.buf[self.cursor..self.cursor + bytes.len()].copy_from_slice(&bytes);
-        self.cursor += bytes.len();
+        rec.encode_into(&mut self.buf[self.cursor..self.cursor + len]);
+        self.cursor += len;
         self.records_appended += 1;
         self.next_lsn = self.next_lsn.max(rec.lsn);
         Ok(())
@@ -696,6 +811,137 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The bit-serial CRC the table form replaced, kept as its oracle.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_check_value() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The slice-by-8 CRC equals the bit-serial one on inputs up to a
+        /// full 8 KiB log page, for the input and each of its seven
+        /// shorter prefixes, so every tail length 0..8 is covered.
+        #[test]
+        fn table_crc_matches_bit_serial(
+            data in proptest::collection::vec(any::<u8>(), 0..=8192),
+        ) {
+            for len in data.len().saturating_sub(7)..=data.len() {
+                prop_assert_eq!((len, crc32(&data[..len])), (len, crc32_bitwise(&data[..len])));
+            }
+        }
+    }
+
+    #[test]
+    fn encode_into_matches_encode_for_every_kind() {
+        let op = |offset: u16, n: usize| WriteOp {
+            offset,
+            old: vec![0xA5; n],
+            new: (0..n).map(|i| i as u8).collect(),
+        };
+        let kinds = [
+            WalKind::Begin,
+            WalKind::Commit,
+            WalKind::Abort,
+            WalKind::Update {
+                page: 9,
+                ops: Vec::new(),
+            },
+            WalKind::Update {
+                page: u64::MAX,
+                ops: vec![op(40, 1), op(0, 0), op(2000, 300)],
+            },
+            WalKind::Checkpoint { upto_lsn: 41 },
+        ];
+        for kind in kinds {
+            let rec = WalRecord {
+                lsn: 0x0102_0304_0506_0708,
+                tx: 77,
+                kind,
+            };
+            let old = rec.encode();
+            assert_eq!(rec.encoded_len(), old.len(), "{rec:?}");
+            // Encode into a dirty slice: every byte must be written.
+            let mut new = vec![0x5A; rec.encoded_len()];
+            rec.encode_into(&mut new);
+            assert_eq!(new, old, "{rec:?}");
+            assert_eq!(WalRecord::decode(&new).unwrap(), Some((rec, old.len())));
+        }
+    }
+
+    #[test]
+    fn record_exactly_filling_the_record_area_seals_and_replays() {
+        // Page 0 gets a Begin plus an update sized so that the update
+        // ends exactly at the end-marker reservation; one byte more
+        // would not fit.
+        let page_size = 2048;
+        let begin = |lsn| WalRecord {
+            lsn,
+            tx: 1,
+            kind: WalKind::Begin,
+        };
+        let fill = page_size - TRAILER_LEN - 4 - begin(1).encoded_len();
+        let update = |lsn, n| WalRecord {
+            lsn,
+            tx: 1,
+            kind: WalKind::Update {
+                page: 3,
+                ops: vec![WriteOp {
+                    offset: 100,
+                    old: vec![0; n],
+                    new: vec![0xEE; n],
+                }],
+            },
+        };
+        let n = (fill - update(2, 0).encoded_len()) / 2;
+        assert_eq!(update(2, n).encoded_len(), fill);
+
+        let mut wal = Wal::new(64, page_size);
+        let records = [
+            begin(1),
+            update(2, n),
+            WalRecord {
+                lsn: 3,
+                tx: 1,
+                kind: WalKind::Commit,
+            },
+        ];
+        wal.append(&records[0]).unwrap();
+        wal.append(&records[1]).unwrap();
+        assert_eq!(wal.cursor, page_size - TRAILER_LEN - 4, "page 0 full");
+        assert!(wal.sealed.is_empty(), "the exact fit stays on page 0");
+        wal.append(&records[2]).unwrap();
+        assert_eq!(wal.sealed.len(), 1, "the next record seals page 0");
+        assert_eq!(wal.cur_lba, 1);
+        wal.flush().unwrap();
+        assert_eq!(wal.replay().unwrap(), records);
+
+        // One byte over: the update opens page 1 instead.
+        let mut wal = Wal::new(64, page_size);
+        let over = update(2, n + 1);
+        assert_eq!(over.encoded_len(), fill + 2);
+        wal.append(&records[0]).unwrap();
+        wal.append(&over).unwrap();
+        assert_eq!(wal.sealed.len(), 1);
+        wal.flush().unwrap();
+        assert_eq!(wal.replay().unwrap(), vec![records[0].clone(), over]);
+    }
 
     fn upd(lsn: u64, tx: u64, page: u64) -> WalRecord {
         WalRecord {
